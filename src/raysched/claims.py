@@ -1,36 +1,41 @@
-"""The claim catalog: every published bound bound to a measurement.
+"""The claim catalog: every recorded reference value bound to a
+measurement.
 
-Each entry measures a quantity with the simulators and compares it to
-the catalog's closed form under an explicit relation.  Values are
-recorded verbatim even when measurement disagrees; entries known to
-disagree with the source are marked informational only where the source
-itself is internally inconsistent about them, and genuine assertion
-failures stay Violated."""
+The catalog is one tuple of declared rows.  A row names its claim id,
+the relation and tolerance of the comparison, its parameter points and
+a measure function returning (reference value, measured value, params
+label) at one point; run_claim_catalog turns the rows into ClaimChecks
+in one loop.  Reference values come from the closed-form table in
+numopt, measurements from the evaluators.  A measurement several rows
+need (the sweeps behind the lower/upper pairs) runs once per catalog
+run: each run keeps its own memo, and nothing survives it.
+
+Values are recorded verbatim even when measurement disagrees; entries
+known to disagree with the source are marked informational only where
+the source itself is internally inconsistent about them, and genuine
+assertion failures stay Violated."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import product
+from typing import Callable
 
 from .core import ClaimCheck, Relation, check_claim
-from .numopt import Bracket, beta_r_star, closed_form, figure1_curve, golden_min
+from .numopt import beta_r_star, closed_form, figure1_curve, scan_golden_min
 from .search_eval import (
     FIRST_VISIT,
+    analytic_search_limits,
     competitive_ratio,
     cost_to_visit,
     rth_visit,
-    turn_bound,
     turn_count,
 )
 from .sched_eval import (
-    _jobs,
     acceleration_ratio,
     aggregate_interruptible,
-    contract_bound,
     contract_count,
     longest_completed,
-    preemption_bound,
     preemption_count,
     r_times_completed,
     rth_largest_completed,
@@ -55,7 +60,10 @@ from .strategies import (
     optimal_base_schedule,
     optimal_base_search,
 )
-from .core import CostModel
+
+EQUAL = Relation.EQUAL
+AT_MOST = Relation.MEASURED_AT_MOST
+AT_LEAST = Relation.MEASURED_AT_LEAST
 
 
 @dataclass(frozen=True)
@@ -70,10 +78,75 @@ class ClaimConfig:
     seed: int = 0
 
 
+class _Run:
+    """Settings and shared measurements of one catalog run."""
+
+    def __init__(self, config: ClaimConfig) -> None:
+        self.config = config
+        self.horizon = config.horizon
+        self._memo: dict[tuple, object] = {}
+
+    def once(self, fn: Callable, *args):
+        """fn(*args), computed at most once in this run."""
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(*args)
+        return self._memo[key]
+
+
+Measured = tuple[float, float, str]
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One declared claim.
+
+    measure(run, claim_id, *point) returns (reference value, measured
+    value, params label) at one point.  A relative tolerance is scaled
+    by the reference value."""
+
+    claim_id: str
+    relation: Relation
+    tolerance: float
+    points: tuple[tuple, ...]
+    measure: Callable[..., Measured]
+    informational: bool = False
+    relative: bool = False
+
+
+def _label(**params) -> str:
+    return " ".join(
+        f"{name}={value:.6g}" if isinstance(value, float) else f"{name}={value}"
+        for name, value in params.items()
+    )
+
+
 def _log_grid(lo: float, hi: float, count: int) -> list[float]:
-    if count < 2:
-        return [lo]
     return [lo * (hi / lo) ** (i / (count - 1)) for i in range(count)]
+
+
+# -- measurements shared by several rows (run through _Run.once) -----------
+
+
+def _exp_search_limit(m: int, b: float, horizon: int) -> float:
+    plan = make_exponential_search(m, b)
+    return competitive_ratio(plan, FIRST_VISIT, horizon).limit_sup
+
+
+def _exp_schedule_limit(n: int, b: float, horizon: int) -> float:
+    plan = make_exponential_schedule(n, b)
+    return acceleration_ratio(plan, longest_completed(), horizon).limit_sup
+
+
+def _prob_search_sup(m: int, p: float, horizon: int) -> float:
+    plan = make_exponential_search(m, tuned_search_base(m, p))
+    model = DetectionModel(p, DirectionRule.OUTWARD_ONLY)
+    return probabilistic_competitive_ratio(plan, model, horizon).finite_sup
+
+
+def _prob_sched_sup(n: int, p: float, horizon: int) -> float:
+    b = optimal_base_schedule(n)
+    return expected_acc_ratio_mc_contracts(n, p, b, horizon).finite_sup
 
 
 def _fault_base(m: int, r: int) -> float:
@@ -88,32 +161,41 @@ def _exp_fault_limit(m: int, r: int, horizon: int) -> tuple[float, float]:
     """(base, measured ratio limit) of the best plain exponential plan
     under r-required-passes semantics."""
     b = _fault_base(m, r)
-    report = competitive_ratio(
-        make_exponential_search(m, b), rth_visit(r), horizon
-    )
+    report = competitive_ratio(make_exponential_search(m, b), rth_visit(r), horizon)
     return b, report.limit_sup
-
-
-def _nm_limit_at(m: int, r: int, b: float, horizon: int) -> float:
-    report = competitive_ratio(make_nm_search(m, b, r), rth_visit(r), horizon)
-    return report.limit_sup
 
 
 def _nm_best_limit(m: int, r: int, horizon: int) -> tuple[float, float]:
     """(base, measured ratio limit) minimizing the r-sweep plan's limit
-    over bases, via coarse grid plus golden-section refinement."""
+    over bases.
+
+    The evaluator's closed-form limit of the family is minimized by a
+    coarse grid plus golden-section refinement; one sweep at the chosen
+    base then reports it, so RatioReport's finite_sup <= limit_sup guard
+    still checks the value against the walk."""
 
     def g(b: float) -> float:
-        return _nm_limit_at(m, r, b, horizon)
+        limit, _ = analytic_search_limits(make_nm_search(m, b, r), r)
+        return limit
 
-    lo, hi = 1.0 + 1e-6, 4.0
-    grid = [lo * (hi / lo) ** (i / 63.0) for i in range(64)]
-    values = [g(b) for b in grid]
-    i_min = values.index(min(values))
-    a = grid[max(0, i_min - 1)]
-    c = grid[min(len(grid) - 1, i_min + 1)]
-    b_star, value = golden_min(g, Bracket(a, c, tol=1e-9))
-    return b_star, value
+    b_star, _ = scan_golden_min(g, 4.0, 1e-9)
+    report = competitive_ratio(make_nm_search(m, b_star, r), rth_visit(r), horizon)
+    return b_star, report.limit_sup
+
+
+def _pseudo_limit(n: int, r: int, horizon: int) -> float:
+    plan = make_pseudo_exponential_schedule(n, optimal_base_schedule(n), r)
+    return acceleration_ratio(plan, r_times_completed(r), horizon).limit_sup
+
+
+def _rth_largest_limit(n: int, r: int, horizon: int) -> tuple[float, float]:
+    """(base, limit) of the exponential schedule tuned for rank-r credit."""
+    b = (r * n + 1.0) / (r * n)
+    plan = make_exponential_schedule(n, b)
+    return b, acceleration_ratio(plan, rth_largest_completed(r), horizon).limit_sup
+
+
+# -- measurements of a single row ------------------------------------------
 
 
 def _rr_tail_ratio(n: int, b: float, phases: int) -> float:
@@ -122,11 +204,13 @@ def _rr_tail_ratio(n: int, b: float, phases: int) -> float:
     completed allotments only."""
     plan = make_geometric_rr_schedule(n, b)
     count = n * (phases + 1)
-    jobs = _jobs(plan, count)
-    t = jobs[-1].finish
     credit = [0.0] * n
-    for job in jobs[:-1]:
-        credit[job.problem] += job.length
+    t = 0.0
+    for i in range(count):
+        problem, length = plan.job_spec(i)
+        if i < count - 1:
+            credit[problem] += length
+        t += length
     return t / min(credit)
 
 
@@ -140,618 +224,230 @@ def _expanding_tail_ratio(m: int, b: float, phase: int) -> float:
     return found / point
 
 
-_INFORMATIONAL = {
-    "search-ratio-printed",
-    "search-ratio-base",
-    "nm-search-upper",
-    "nm-vs-exponential-small",
-    "pseudo-vs-exponential",
-    "fig1-ratio-edge",
-}
+def _worst_ceiling(
+    count: Callable[[float], int], bound: Callable[[float], float]
+) -> tuple[float, float, float]:
+    """(query, bound, count) at the grid query maximizing count - bound."""
+    rows = [(x, count(x), bound(x)) for x in _log_grid(0.5, 1e4, 20)]
+    x, worst, ceiling = max(rows, key=lambda row: row[1] - row[2])
+    return x, ceiling, float(worst)
 
 
-def _run_search_ratio_printed(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m in (2, 3):
-        b = optimal_base_search(m)
-        measured = competitive_ratio(
-            make_exponential_search(m, b), FIRST_VISIT, config.horizon
-        ).limit_sup
-        checks.append(
-            check_claim(
-                "search-ratio-printed",
-                closed_form("search-ratio-printed", m=m),
-                measured,
-                Relation.EQUAL,
-                1e-6,
-                informational=True,
-                params=f"m={m} b={b:.6g}",
-            )
-        )
-    return checks
+# -- measure functions: (run, claim_id, *point) -> Measured -----------------
 
 
-def _run_search_ratio_base(config: ClaimConfig) -> list[ClaimCheck]:
-    m, b = 2, 3.0
-    measured = competitive_ratio(
-        make_exponential_search(m, b), FIRST_VISIT, config.horizon
-    ).limit_sup
-    return [
-        check_claim(
-            "search-ratio-base",
-            closed_form("search-ratio-base", m=m, b=b),
-            measured,
-            Relation.EQUAL,
-            1e-6,
-            informational=True,
-            params=f"m={m} b={b:.6g}",
-        )
-    ]
+def _search_ratio_printed(run: _Run, claim_id: str, m: int) -> Measured:
+    b = optimal_base_search(m)
+    measured = run.once(_exp_search_limit, m, b, run.horizon)
+    return closed_form(claim_id, m=m), measured, _label(m=m, b=b)
 
 
-def _run_sched_ratio_optimal(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n in range(1, 9):
-        b = optimal_base_schedule(n)
-        measured = acceleration_ratio(
-            make_exponential_schedule(n, b), longest_completed(), config.horizon
-        ).limit_sup
-        checks.append(
-            check_claim(
-                "sched-ratio-optimal",
-                closed_form("sched-ratio-optimal", n=n),
-                measured,
-                Relation.EQUAL,
-                1e-6,
-                params=f"n={n} b={b:.6g}",
-            )
-        )
-    return checks
+def _search_ratio_base(run: _Run, claim_id: str, m: int, b: float) -> Measured:
+    measured = run.once(_exp_search_limit, m, b, run.horizon)
+    return closed_form(claim_id, m=m, b=b), measured, _label(m=m, b=b)
 
 
-def _run_sched_ratio_base(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n, b in ((1, 2.0), (2, 2.0)):
-        measured = acceleration_ratio(
-            make_exponential_schedule(n, b), longest_completed(), config.horizon
-        ).limit_sup
-        checks.append(
-            check_claim(
-                "sched-ratio-base",
-                closed_form("sched-ratio-base", n=n, b=b),
-                measured,
-                Relation.EQUAL,
-                1e-6,
-                params=f"n={n} b={b:.6g}",
-            )
-        )
-    return checks
+def _sched_ratio_optimal(run: _Run, claim_id: str, n: int) -> Measured:
+    b = optimal_base_schedule(n)
+    measured = run.once(_exp_schedule_limit, n, b, run.horizon)
+    return closed_form(claim_id, n=n), measured, _label(n=n, b=b)
 
 
-def _prob_search_measurements(config: ClaimConfig) -> list[tuple[int, float, float]]:
-    rows = []
-    for m in (2, 3, 5):
-        for p in (0.3, 0.5, 0.8):
-            b = tuned_search_base(m, p)
-            model = DetectionModel(p, DirectionRule.OUTWARD_ONLY)
-            report = probabilistic_competitive_ratio(
-                make_exponential_search(m, b), model, config.horizon
-            )
-            rows.append((m, p, report.finite_sup))
-    return rows
+def _sched_ratio_base(run: _Run, claim_id: str, n: int, b: float) -> Measured:
+    measured = run.once(_exp_schedule_limit, n, b, run.horizon)
+    return closed_form(claim_id, n=n, b=b), measured, _label(n=n, b=b)
 
 
-def _run_prob_search_lower(config: ClaimConfig) -> list[ClaimCheck]:
-    return [
-        check_claim(
-            "prob-search-lower",
-            closed_form("prob-search-lower", m=m, p=p),
-            measured,
-            Relation.MEASURED_AT_LEAST,
-            1e-9,
-            params=f"m={m} p={p}",
-        )
-        for m, p, measured in _prob_search_measurements(config)
-    ]
+def _prob_search(run: _Run, claim_id: str, m: int, p: float) -> Measured:
+    measured = run.once(_prob_search_sup, m, p, run.horizon)
+    return closed_form(claim_id, m=m, p=p), measured, _label(m=m, p=p)
 
 
-def _run_prob_search_upper(config: ClaimConfig) -> list[ClaimCheck]:
-    return [
-        check_claim(
-            "prob-search-upper",
-            closed_form("prob-search-upper", m=m, p=p),
-            measured,
-            Relation.MEASURED_AT_MOST,
-            1e-9,
-            params=f"m={m} p={p}",
-        )
-        for m, p, measured in _prob_search_measurements(config)
-    ]
+def _prob_sched(run: _Run, claim_id: str, n: int, p: float) -> Measured:
+    measured = run.once(_prob_sched_sup, n, p, run.horizon)
+    return closed_form(claim_id, n=n, p=p), measured, _label(n=n, p=p)
 
 
-def _prob_sched_measurements(config: ClaimConfig) -> list[tuple[int, float, float]]:
-    rows = []
-    for n in (1, 2, 4):
-        for p in (0.3, 0.7):
-            report = expected_acc_ratio_mc_contracts(
-                n, p, optimal_base_schedule(n), config.horizon
-            )
-            rows.append((n, p, report.finite_sup))
-    return rows
+def _fault_search(run: _Run, claim_id: str, m: int, r: int) -> Measured:
+    b, measured = run.once(_exp_fault_limit, m, r, run.horizon)
+    return closed_form(claim_id, m=m, r=r), measured, _label(m=m, r=r, b=b)
 
 
-def _run_prob_sched_lower(config: ClaimConfig) -> list[ClaimCheck]:
-    return [
-        check_claim(
-            "prob-sched-lower",
-            closed_form("prob-sched-lower", n=n, p=p),
-            measured,
-            Relation.MEASURED_AT_LEAST,
-            1e-9,
-            params=f"n={n} p={p}",
-        )
-        for n, p, measured in _prob_sched_measurements(config)
-    ]
+def _nm_search_upper(run: _Run, claim_id: str, m: int, r: int) -> Measured:
+    b = optimal_base_search(m)
+    plan = make_nm_search(m, b, r)
+    measured = competitive_ratio(plan, rth_visit(r), run.horizon).limit_sup
+    return closed_form(claim_id, m=m, r=r), measured, _label(m=m, r=r, b=b)
 
 
-def _run_prob_sched_upper(config: ClaimConfig) -> list[ClaimCheck]:
-    return [
-        check_claim(
-            "prob-sched-upper",
-            closed_form("prob-sched-upper", n=n, p=p),
-            measured,
-            Relation.MEASURED_AT_MOST,
-            1e-9,
-            params=f"n={n} p={p}",
-        )
-        for n, p, measured in _prob_sched_measurements(config)
-    ]
+def _nm_vs_exponential(run: _Run, claim_id: str, m: int, r: int) -> Measured:
+    exp_b, exp_value = run.once(_exp_fault_limit, m, r, run.horizon)
+    nm_b, nm_value = run.once(_nm_best_limit, m, r, run.horizon)
+    return exp_value, nm_value, _label(m=m, r=r, nm_b=nm_b, exp_b=exp_b)
 
 
-def _run_fault_search_lower(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m in (2, 3, 5):
-        for r in (1, 2, 3, 4):
-            b, measured = _exp_fault_limit(m, r, config.horizon)
-            checks.append(
-                check_claim(
-                    "fault-search-lower",
-                    closed_form("fault-search-lower", m=m, r=r),
-                    measured,
-                    Relation.MEASURED_AT_LEAST,
-                    1e-9,
-                    params=f"m={m} r={r} b={b:.6g}",
-                )
-            )
-    return checks
+def _pseudo_repeat_ratio(run: _Run, claim_id: str, n: int, r: int) -> Measured:
+    measured = run.once(_pseudo_limit, n, r, run.horizon)
+    label = _label(n=n, r=r, b=optimal_base_schedule(n))
+    return closed_form(claim_id, n=n, r=r), measured, label
 
 
-def _run_fault_search_upper(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m in (2, 3, 5):
-        for r in (1, 2, 3, 4):
-            b, measured = _exp_fault_limit(m, r, config.horizon)
-            checks.append(
-                check_claim(
-                    "fault-search-upper",
-                    closed_form("fault-search-upper", m=m, r=r),
-                    measured,
-                    Relation.MEASURED_AT_MOST,
-                    1e-9,
-                    params=f"m={m} r={r} b={b:.6g}",
-                )
-            )
-    return checks
+def _pseudo_vs_exponential(run: _Run, claim_id: str, n: int, r: int) -> Measured:
+    pseudo = run.once(_pseudo_limit, n, r, run.horizon)
+    exp_b, exp_value = run.once(_rth_largest_limit, n, r, run.horizon)
+    return exp_value, pseudo, _label(n=n, r=r, exp_b=exp_b)
 
 
-def _run_nm_search_upper(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m, r in ((2, 2), (10, 4)):
-        b = optimal_base_search(m)
-        measured = _nm_limit_at(m, r, b, config.horizon)
-        checks.append(
-            check_claim(
-                "nm-search-upper",
-                closed_form("nm-search-upper", m=m, r=r),
-                measured,
-                Relation.MEASURED_AT_MOST,
-                1e-9,
-                informational=True,
-                params=f"m={m} r={r} b={b:.6g}",
-            )
-        )
-    return checks
+def _rth_largest_ratio(run: _Run, claim_id: str, n: int, r: int) -> Measured:
+    b, measured = run.once(_rth_largest_limit, n, r, run.horizon)
+    return closed_form(claim_id, n=n, r=r), measured, _label(n=n, r=r, b=b)
 
 
-def _run_nm_vs_exponential(config: ClaimConfig) -> list[ClaimCheck]:
-    m, r = 10, 4
-    exp_b, exp_value = _exp_fault_limit(m, r, config.horizon)
-    nm_b, nm_value = _nm_best_limit(m, r, config.horizon)
-    return [
-        check_claim(
-            "nm-vs-exponential",
-            exp_value,
-            nm_value,
-            Relation.MEASURED_AT_MOST,
-            0.0,
-            params=f"m={m} r={r} nm_b={nm_b:.6g} exp_b={exp_b:.6g}",
-        )
-    ]
+def _randomized_ratio(run: _Run, claim_id: str, n: int, b: float) -> Measured:
+    trials = run.config.trials
+    params = RandomizedScheduleParams(n=n, b=b, t_grid=standard_t_grid(n, b))
+    report = mc_randomized_schedule_ratio(params, trials, run.config.seed)
+    label = _label(n=n, b=b, trials=trials)
+    return closed_form(claim_id, n=n, b=b), report.finite_sup, label
 
 
-def _run_nm_vs_exponential_small(config: ClaimConfig) -> list[ClaimCheck]:
-    m, r = 2, 4
-    exp_b, exp_value = _exp_fault_limit(m, r, config.horizon)
-    nm_b, nm_value = _nm_best_limit(m, r, config.horizon)
-    return [
-        check_claim(
-            "nm-vs-exponential-small",
-            exp_value,
-            nm_value,
-            Relation.MEASURED_AT_MOST,
-            0.0,
-            informational=True,
-            params=f"m={m} r={r} nm_b={nm_b:.6g} exp_b={exp_b:.6g}",
-        )
-    ]
-
-
-def _run_pseudo_repeat_ratio(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n in (1, 2, 4):
-        for r in (2, 3):
-            b = optimal_base_schedule(n)
-            measured = acceleration_ratio(
-                make_pseudo_exponential_schedule(n, b, r),
-                r_times_completed(r),
-                config.horizon,
-            ).limit_sup
-            checks.append(
-                check_claim(
-                    "pseudo-repeat-ratio",
-                    closed_form("pseudo-repeat-ratio", n=n, r=r),
-                    measured,
-                    Relation.EQUAL,
-                    1e-6,
-                    params=f"n={n} r={r} b={b:.6g}",
-                )
-            )
-    return checks
-
-
-def _run_pseudo_vs_exponential(config: ClaimConfig) -> list[ClaimCheck]:
-    n, r = 1, 2
-    pseudo = acceleration_ratio(
-        make_pseudo_exponential_schedule(n, optimal_base_schedule(n), r),
-        r_times_completed(r),
-        config.horizon,
-    ).limit_sup
-    exp_b = (r * n + 1.0) / (r * n)
-    exp_value = acceleration_ratio(
-        make_exponential_schedule(n, exp_b),
-        rth_largest_completed(r),
-        config.horizon,
-    ).limit_sup
-    return [
-        check_claim(
-            "pseudo-vs-exponential",
-            exp_value,
-            pseudo,
-            Relation.MEASURED_AT_MOST,
-            0.0,
-            informational=True,
-            params=f"n={n} r={r} exp_b={exp_b:.6g}",
-        )
-    ]
-
-
-def _run_rth_largest_ratio(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n in (1, 2):
-        for r in (2, 3):
-            b = (r * n + 1.0) / (r * n)
-            measured = acceleration_ratio(
-                make_exponential_schedule(n, b),
-                rth_largest_completed(r),
-                config.horizon,
-            ).limit_sup
-            checks.append(
-                check_claim(
-                    "rth-largest-ratio",
-                    closed_form("rth-largest-ratio", n=n, r=r),
-                    measured,
-                    Relation.EQUAL,
-                    1e-6,
-                    params=f"n={n} r={r} b={b:.6g}",
-                )
-            )
-    return checks
-
-
-def _run_randomized_ratio(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n, b in ((1, 2.0), (2, 1.5)):
-        params = RandomizedScheduleParams(
-            n=n, b=b, t_grid=standard_t_grid(n, b)
-        )
-        report = mc_randomized_schedule_ratio(params, config.trials, config.seed)
-        reference = closed_form("randomized-ratio", n=n, b=b)
-        checks.append(
-            check_claim(
-                "randomized-ratio",
-                reference,
-                report.finite_sup,
-                Relation.EQUAL,
-                0.02 * reference,
-                params=f"n={n} b={b:.6g} trials={config.trials}",
-            )
-        )
-    return checks
-
-
-def _run_randomized_ratio_asymptote(config: ClaimConfig) -> list[ClaimCheck]:
-    n = 80
+def _randomized_ratio_asymptote(run: _Run, claim_id: str, n: int) -> Measured:
     _, value = beta_r_star(n)
-    return [
-        check_claim(
-            "randomized-ratio-asymptote",
-            closed_form("randomized-ratio-asymptote", n=n),
-            value,
-            Relation.MEASURED_AT_MOST,
-            1e-9,
-            params=f"n={n}",
-        )
-    ]
+    return closed_form(claim_id, n=n), value, _label(n=n)
 
 
-def _run_fig1_ratio(config: ClaimConfig) -> list[ClaimCheck]:
-    rows = figure1_curve(80)
+def _fig1_ratio(run: _Run, claim_id: str, n_max: int) -> Measured:
+    rows = figure1_curve(n_max)
     worst = max(row[4] for row in rows if row[0] >= 2)
-    return [
-        check_claim(
-            "fig1-ratio",
-            0.6,
-            worst,
-            Relation.MEASURED_AT_MOST,
-            1e-9,
-            params="n=2..80",
-        )
-    ]
+    return 0.6, worst, f"n=2..{n_max}"
 
 
-def _run_fig1_ratio_edge(config: ClaimConfig) -> list[ClaimCheck]:
-    rows = figure1_curve(1)
-    return [
-        check_claim(
-            "fig1-ratio-edge",
-            0.6,
-            rows[0][4],
-            Relation.MEASURED_AT_MOST,
-            1e-9,
-            informational=True,
-            params="n=1",
-        )
-    ]
+def _fig1_ratio_edge(run: _Run, claim_id: str, n: int) -> Measured:
+    return 0.6, figure1_curve(n)[0][4], _label(n=n)
 
 
-def _run_rr_worst(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n in (1, 2, 3):
-        for b in (1.5, 2.0):
-            measured = acceleration_ratio(
-                make_geometric_rr_schedule(n, b),
-                aggregate_interruptible(),
-                config.horizon,
-            ).finite_sup
-            checks.append(
-                check_claim(
-                    "rr-worst",
-                    closed_form("rr-worst", n=n, b=b),
-                    measured,
-                    Relation.EQUAL,
-                    1e-6,
-                    params=f"n={n} b={b:.6g}",
-                )
-            )
-    return checks
+def _rr_worst(run: _Run, claim_id: str, n: int, b: float) -> Measured:
+    plan = make_geometric_rr_schedule(n, b)
+    measured = acceleration_ratio(plan, aggregate_interruptible(), run.horizon)
+    return closed_form(claim_id, n=n, b=b), measured.finite_sup, _label(n=n, b=b)
 
 
-def _run_rr_asymptotic(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n in (1, 2, 3):
-        for b in (1.5, 2.0):
-            measured = _rr_tail_ratio(n, b, phases=60)
-            checks.append(
-                check_claim(
-                    "rr-asymptotic",
-                    closed_form("rr-asymptotic", n=n, b=b),
-                    measured,
-                    Relation.EQUAL,
-                    1e-6,
-                    params=f"n={n} b={b:.6g} phase=60",
-                )
-            )
-    return checks
+def _rr_asymptotic(run: _Run, claim_id: str, n: int, b: float) -> Measured:
+    measured = _rr_tail_ratio(n, b, phases=60)
+    return closed_form(claim_id, n=n, b=b), measured, _label(n=n, b=b, phase=60)
 
 
-def _run_expanding_search_worst(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m in (2, 3):
-        for b in (1.5, 2.0):
-            measured = competitive_ratio(
-                make_geometric_search(m, b), FIRST_VISIT, config.horizon
-            ).finite_sup
-            checks.append(
-                check_claim(
-                    "expanding-search-worst",
-                    closed_form("expanding-search-worst", m=m, b=b),
-                    measured,
-                    Relation.EQUAL,
-                    1e-6,
-                    params=f"m={m} b={b:.6g}",
-                )
-            )
-    return checks
+def _expanding_search_worst(run: _Run, claim_id: str, m: int, b: float) -> Measured:
+    plan = make_geometric_search(m, b)
+    measured = competitive_ratio(plan, FIRST_VISIT, run.horizon).finite_sup
+    return closed_form(claim_id, m=m, b=b), measured, _label(m=m, b=b)
 
 
-def _run_expanding_search_asymptotic(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m in (2, 3):
-        for b in (1.5, 2.0):
-            measured = _expanding_tail_ratio(m, b, phase=60)
-            checks.append(
-                check_claim(
-                    "expanding-search-asymptotic",
-                    closed_form("expanding-search-asymptotic", m=m, b=b),
-                    measured,
-                    Relation.EQUAL,
-                    1e-6,
-                    params=f"m={m} b={b:.6g} phase=60",
-                )
-            )
-    return checks
+def _expanding_search_asymptotic(
+    run: _Run, claim_id: str, m: int, b: float
+) -> Measured:
+    measured = _expanding_tail_ratio(m, b, phase=60)
+    return closed_form(claim_id, m=m, b=b), measured, _label(m=m, b=b, phase=60)
 
 
-def _worst_over_grid(
-    pairs: Iterable[tuple[float, int, float]]
-) -> tuple[float, int, float]:
-    """Pick (t, count, bound) maximizing count - bound."""
-    return max(pairs, key=lambda row: row[1] - row[2])
+def _preemption_ceiling(run: _Run, claim_id: str, n: int, b: float) -> Measured:
+    plan = make_geometric_rr_schedule(n, b)
+    t, bound, count = _worst_ceiling(
+        lambda t: preemption_count(plan, t),
+        lambda t: closed_form(claim_id, n=n, b=b, t=t),
+    )
+    return bound, count, _label(n=n, b=b, t=t)
 
 
-def _run_preemption_ceiling(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for n in (1, 2, 3):
-        for b in (1.5, 2.0):
-            plan = make_geometric_rr_schedule(n, b)
-            rows = [
-                (t, preemption_count(plan, t), preemption_bound(n, b, t))
-                for t in _log_grid(0.5, 1e4, 20)
-            ]
-            t, count, bound = _worst_over_grid(rows)
-            checks.append(
-                check_claim(
-                    "preemption-ceiling",
-                    bound,
-                    float(count),
-                    Relation.MEASURED_AT_MOST,
-                    1e-9,
-                    params=f"n={n} b={b:.6g} t={t:.6g}",
-                )
-            )
-    return checks
+def _contract_ceiling(run: _Run, claim_id: str, b: float) -> Measured:
+    plan = make_exponential_schedule(1, b)
+    t, bound, count = _worst_ceiling(
+        lambda t: contract_count(plan, t),
+        lambda t: closed_form(claim_id, b=b, t=t),
+    )
+    return bound, count, _label(b=b, t=t)
 
 
-def _run_contract_ceiling(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for b in (1.5, 2.0):
-        plan = make_exponential_schedule(1, b)
-        rows = [
-            (t, contract_count(plan, t), contract_bound(b, t))
-            for t in _log_grid(0.5, 1e4, 20)
-        ]
-        t, count, bound = _worst_over_grid(rows)
-        checks.append(
-            check_claim(
-                "contract-ceiling",
-                bound,
-                float(count),
-                Relation.MEASURED_AT_MOST,
-                1e-9,
-                params=f"b={b:.6g} t={t:.6g}",
-            )
-        )
-    return checks
+def _turn_ceiling(run: _Run, claim_id: str, b: float) -> Measured:
+    plan = make_exponential_search(2, b)
+    d, bound, count = _worst_ceiling(
+        lambda d: turn_count(plan, d, one_way=True),
+        lambda d: closed_form(claim_id, b=b, d=d),
+    )
+    return bound, count, _label(b=b, d=d)
 
 
-def _run_turn_ceiling(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for b in (1.5, 2.0):
-        plan = make_exponential_search(2, b)
-        rows = [
-            (
-                d,
-                turn_count(plan, d, one_way=True),
-                turn_bound(2, b, d, CostModel.STANDARD),
-            )
-            for d in _log_grid(0.5, 1e4, 20)
-        ]
-        d, count, bound = _worst_over_grid(rows)
-        checks.append(
-            check_claim(
-                "turn-ceiling",
-                bound,
-                float(count),
-                Relation.MEASURED_AT_MOST,
-                1e-9,
-                params=f"b={b:.6g} d={d:.6g}",
-            )
-        )
-    return checks
+def _expanding_turn_ceiling(run: _Run, claim_id: str, m: int, b: float) -> Measured:
+    plan = make_geometric_search(m, b)
+    d, bound, count = _worst_ceiling(
+        lambda d: turn_count(plan, d),
+        lambda d: closed_form(claim_id, m=m, b=b, d=d),
+    )
+    return bound, count, _label(m=m, b=b, d=d)
 
 
-def _run_expanding_turn_ceiling(config: ClaimConfig) -> list[ClaimCheck]:
-    checks = []
-    for m in (2, 3):
-        for b in (1.5, 2.0):
-            plan = make_geometric_search(m, b)
-            rows = [
-                (
-                    d,
-                    turn_count(plan, d),
-                    turn_bound(m, b, d, CostModel.EXPANDING),
-                )
-                for d in _log_grid(0.5, 1e4, 20)
-            ]
-            d, count, bound = _worst_over_grid(rows)
-            checks.append(
-                check_claim(
-                    "expanding-turn-ceiling",
-                    bound,
-                    float(count),
-                    Relation.MEASURED_AT_MOST,
-                    1e-9,
-                    params=f"m={m} b={b:.6g} d={d:.6g}",
-                )
-            )
-    return checks
+_BASES = (1.5, 2.0)
 
-
-_RUNNERS: tuple[tuple[str, Callable[[ClaimConfig], list[ClaimCheck]]], ...] = (
-    ("search-ratio-printed", _run_search_ratio_printed),
-    ("search-ratio-base", _run_search_ratio_base),
-    ("sched-ratio-optimal", _run_sched_ratio_optimal),
-    ("sched-ratio-base", _run_sched_ratio_base),
-    ("prob-search-lower", _run_prob_search_lower),
-    ("prob-search-upper", _run_prob_search_upper),
-    ("prob-sched-lower", _run_prob_sched_lower),
-    ("prob-sched-upper", _run_prob_sched_upper),
-    ("fault-search-lower", _run_fault_search_lower),
-    ("fault-search-upper", _run_fault_search_upper),
-    ("nm-search-upper", _run_nm_search_upper),
-    ("nm-vs-exponential", _run_nm_vs_exponential),
-    ("nm-vs-exponential-small", _run_nm_vs_exponential_small),
-    ("pseudo-repeat-ratio", _run_pseudo_repeat_ratio),
-    ("pseudo-vs-exponential", _run_pseudo_vs_exponential),
-    ("rth-largest-ratio", _run_rth_largest_ratio),
-    ("randomized-ratio", _run_randomized_ratio),
-    ("randomized-ratio-asymptote", _run_randomized_ratio_asymptote),
-    ("fig1-ratio", _run_fig1_ratio),
-    ("fig1-ratio-edge", _run_fig1_ratio_edge),
-    ("rr-worst", _run_rr_worst),
-    ("rr-asymptotic", _run_rr_asymptotic),
-    ("expanding-search-worst", _run_expanding_search_worst),
-    ("expanding-search-asymptotic", _run_expanding_search_asymptotic),
-    ("preemption-ceiling", _run_preemption_ceiling),
-    ("contract-ceiling", _run_contract_ceiling),
-    ("turn-ceiling", _run_turn_ceiling),
-    ("expanding-turn-ceiling", _run_expanding_turn_ceiling),
+_ROWS: tuple[_Row, ...] = (
+    _Row("search-ratio-printed", EQUAL, 1e-6, ((2,), (3,)),
+         _search_ratio_printed, informational=True),
+    _Row("search-ratio-base", EQUAL, 1e-6, ((2, 3.0),),
+         _search_ratio_base, informational=True),
+    _Row("sched-ratio-optimal", EQUAL, 1e-6, tuple((n,) for n in range(1, 9)),
+         _sched_ratio_optimal),
+    _Row("sched-ratio-base", EQUAL, 1e-6, ((1, 2.0), (2, 2.0)), _sched_ratio_base),
+    _Row("prob-search-lower", AT_LEAST, 1e-9,
+         tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _prob_search),
+    _Row("prob-search-upper", AT_MOST, 1e-9,
+         tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _prob_search),
+    _Row("prob-sched-lower", AT_LEAST, 1e-9,
+         tuple(product((1, 2, 4), (0.3, 0.7))), _prob_sched),
+    _Row("prob-sched-upper", AT_MOST, 1e-9,
+         tuple(product((1, 2, 4), (0.3, 0.7))), _prob_sched),
+    _Row("fault-search-lower", AT_LEAST, 1e-9,
+         tuple(product((2, 3, 5), (1, 2, 3, 4))), _fault_search),
+    _Row("fault-search-upper", AT_MOST, 1e-9,
+         tuple(product((2, 3, 5), (1, 2, 3, 4))), _fault_search),
+    _Row("nm-search-upper", AT_MOST, 1e-9, ((2, 2), (10, 4)),
+         _nm_search_upper, informational=True),
+    _Row("nm-vs-exponential", AT_MOST, 0.0, ((10, 4),), _nm_vs_exponential),
+    _Row("nm-vs-exponential-small", AT_MOST, 0.0, ((2, 4),),
+         _nm_vs_exponential, informational=True),
+    _Row("pseudo-repeat-ratio", EQUAL, 1e-6,
+         tuple(product((1, 2, 4), (2, 3))), _pseudo_repeat_ratio),
+    _Row("pseudo-vs-exponential", AT_MOST, 0.0, ((1, 2),),
+         _pseudo_vs_exponential, informational=True),
+    _Row("rth-largest-ratio", EQUAL, 1e-6, tuple(product((1, 2), (2, 3))),
+         _rth_largest_ratio),
+    _Row("randomized-ratio", EQUAL, 0.02, ((1, 2.0), (2, 1.5)),
+         _randomized_ratio, relative=True),
+    _Row("randomized-ratio-asymptote", AT_MOST, 1e-9, ((80,),),
+         _randomized_ratio_asymptote),
+    _Row("fig1-ratio", AT_MOST, 1e-9, ((80,),), _fig1_ratio),
+    _Row("fig1-ratio-edge", AT_MOST, 1e-9, ((1,),), _fig1_ratio_edge,
+         informational=True),
+    _Row("rr-worst", EQUAL, 1e-6, tuple(product((1, 2, 3), _BASES)), _rr_worst),
+    _Row("rr-asymptotic", EQUAL, 1e-6, tuple(product((1, 2, 3), _BASES)),
+         _rr_asymptotic),
+    _Row("expanding-search-worst", EQUAL, 1e-6, tuple(product((2, 3), _BASES)),
+         _expanding_search_worst),
+    _Row("expanding-search-asymptotic", EQUAL, 1e-6,
+         tuple(product((2, 3), _BASES)), _expanding_search_asymptotic),
+    _Row("preemption-ceiling", AT_MOST, 1e-9, tuple(product((1, 2, 3), _BASES)),
+         _preemption_ceiling),
+    _Row("contract-ceiling", AT_MOST, 1e-9, tuple((b,) for b in _BASES),
+         _contract_ceiling),
+    _Row("turn-ceiling", AT_MOST, 1e-9, tuple((b,) for b in _BASES), _turn_ceiling),
+    _Row("expanding-turn-ceiling", AT_MOST, 1e-9, tuple(product((2, 3), _BASES)),
+         _expanding_turn_ceiling),
 )
+
+_INFORMATIONAL = frozenset(row.claim_id for row in _ROWS if row.informational)
 
 
 def claim_ids() -> list[str]:
     """All catalog claim ids, in run order."""
-    return [claim_id for claim_id, _ in _RUNNERS]
+    return [row.claim_id for row in _ROWS]
 
 
 def _selected(claim_id: str, subset: str) -> bool:
@@ -766,9 +462,19 @@ def _selected(claim_id: str, subset: str) -> bool:
 
 
 def run_claim_catalog(config: ClaimConfig = ClaimConfig()) -> list[ClaimCheck]:
-    """Measure and check every selected claim, in stable catalog order."""
+    """Measure and check every selected claim, in stable catalog order.
+
+    Measurements shared by several rows run once per call."""
+    run = _Run(config)
     checks: list[ClaimCheck] = []
-    for claim_id, runner in _RUNNERS:
-        if _selected(claim_id, config.subset):
-            checks.extend(runner(config))
+    for row in _ROWS:
+        if not _selected(row.claim_id, config.subset):
+            continue
+        for point in row.points:
+            paper, measured, params = row.measure(run, row.claim_id, *point)
+            tolerance = row.tolerance * paper if row.relative else row.tolerance
+            checks.append(check_claim(
+                row.claim_id, paper, measured, row.relation, tolerance,
+                informational=row.informational, params=params,
+            ))
     return checks

@@ -16,15 +16,21 @@ from typing import Optional
 
 from .claims import ClaimConfig, claim_ids, run_claim_catalog
 from .core import DEFAULT_HORIZON, CostModel
-from .numopt import beta_r_star, figure1_curve
-from .search_eval import FIRST_VISIT, competitive_ratio, rth_visit, turn_bound, turn_count
+from .numopt import (
+    beta_r_closed_form,
+    beta_r_star,
+    closed_form,
+    contract_bound,
+    figure1_curve,
+    preemption_bound,
+    turn_bound,
+)
+from .search_eval import FIRST_VISIT, competitive_ratio, rth_visit, turn_count
 from .sched_eval import (
     acceleration_ratio,
     aggregate_interruptible,
-    contract_bound,
     contract_count,
     longest_completed,
-    preemption_bound,
     preemption_count,
     r_times_completed,
     rth_largest_completed,
@@ -33,7 +39,6 @@ from .stochastic import (
     DetectionModel,
     DirectionRule,
     RandomizedScheduleParams,
-    beta_r_closed_form,
     mc_randomized_schedule_detail,
     probabilistic_competitive_ratio,
     standard_t_grid,
@@ -249,8 +254,8 @@ def _cmd_prob_search(args) -> tuple[list[str], list[dict], int]:
             "finite_sup": report.finite_sup,
             "limit_sup": report.limit_sup,
             "asymptotic": report.asymptotic,
-            "lower_bound": args.m / (2.0 * args.p),
-            "upper_bound": 1.0 + 8.0 * args.m / (args.p * args.p),
+            "lower_bound": closed_form("prob-search-lower", m=args.m, p=args.p),
+            "upper_bound": closed_form("prob-search-upper", m=args.m, p=args.p),
         }
     ]
     return header, rows, 0

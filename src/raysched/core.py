@@ -91,7 +91,13 @@ class SearchPlan:
             raise ValueError(f"traversals must be >= 1, got {self.traversals}")
 
     def excursion(self, i: int) -> Excursion:
-        exc = self.generator(i)
+        try:
+            exc = self.generator(i)
+        except OverflowError as err:
+            raise ValueError(
+                f"excursion {i} overflowed float range; reduce the horizon "
+                "or the growth base"
+            ) from err
         if exc.ray >= self.ray_count:
             raise ValueError(
                 f"excursion {i} targets ray {exc.ray} but plan has "
@@ -194,7 +200,13 @@ class SchedulePlan:
             )
 
     def job_spec(self, i: int) -> tuple[int, float]:
-        problem, length = self.generator(i)
+        try:
+            problem, length = self.generator(i)
+        except OverflowError as err:
+            raise ValueError(
+                f"job {i} length overflowed float range; reduce the horizon "
+                "or the growth base"
+            ) from err
         if not (0 <= problem < self.problem_count):
             raise ValueError(
                 f"job {i} targets problem {problem} but plan has "

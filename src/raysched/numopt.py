@@ -1,17 +1,23 @@
-"""Bracketed 1-D numerics and the catalog of published closed forms.
+"""Bracketed 1-D numerics and the table of published closed forms.
 
 Bisection and golden-section routines back the tuned-base root and the
-randomized-schedule base optimization.  The closed-form catalog stores
-each published bound exactly as displayed, even where measurement
-disagrees; disagreement is surfaced by the claim runner, never patched
-here.
+base optimizations.  The closed-form table stores each published bound
+exactly as displayed, even where measurement disagrees; disagreement
+is surfaced by the claim catalog, never patched here.  The count
+ceilings and the randomized-schedule ratio are written here once and
+serve both as table entries and as public functions.  The evaluators'
+own analytic limits of tagged plan families live with the evaluators
+and are kept independent of this table, so that the catalog can catch
+a wrong formula on either side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
+
+from .core import CostModel
 
 
 @dataclass(frozen=True)
@@ -105,41 +111,84 @@ def golden_min(
     return arg, g(arg)
 
 
-def _ceil_half(r: int) -> int:
-    return (r + 1) // 2
+def scan_golden_min(
+    g: Callable[[float], float], hi: float, tol: float
+) -> tuple[float, float]:
+    """(argmin, min) of g over bases in [1+1e-6, hi].
+
+    A 64-point logarithmic scan brackets the minimum before the
+    golden-section refinement, guarding against surprises in the
+    trusted unimodality.
+    """
+    lo = 1.0 + 1e-6
+    grid = [lo * (hi / lo) ** (i / 63.0) for i in range(64)]
+    values = [g(b) for b in grid]
+    i_min = values.index(min(values))
+    a = grid[max(0, i_min - 1)]
+    c = grid[min(len(grid) - 1, i_min + 1)]
+    return golden_min(g, Bracket(a, c, tol=tol))
 
 
 _E = math.e
 
 
-def _cf_search_ratio_printed(m: int) -> float:
-    b = m / (m - 1.0)
-    return 1.0 + 2.0 * (b**m - 1.0) / (b - 1.0)
+def _check_bound(b: float, size: int = 1, budget: float = 0.0) -> None:
+    """Argument check shared by every closed-form bound below."""
+    if not b > 1:
+        raise ValueError(f"base must be > 1, got {b}")
+    if size < 1:
+        raise ValueError(f"ray or problem count must be >= 1, got {size}")
+    if not budget >= 0:
+        raise ValueError(f"time or distance budget must be >= 0, got {budget}")
 
 
-def _cf_search_ratio_base(m: int, b: float) -> float:
-    return 1.0 + 2.0 * (b**m - 1.0) / (b - 1.0)
-
-
-def _cf_sched_ratio_optimal(n: int) -> float:
-    b = (n + 1.0) / n
-    return b ** (n + 1) / (b - 1.0)
-
-
-def _cf_sched_ratio_base(n: int, b: float) -> float:
-    return b ** (n + 1) / (b - 1.0)
-
-
-def _cf_randomized_ratio(n: int, b: float) -> float:
+def beta_r_closed_form(n: int, b: float) -> float:
+    """Exact acceleration ratio n b^(n+1) ln b / ((b^n - 1)(b - 1)) of
+    the randomized schedule."""
+    _check_bound(b, n)
     return n * b ** (n + 1) * math.log(b) / ((b**n - 1.0) * (b - 1.0))
 
 
+def turn_bound(m: int, b: float, d: float, cost_model: CostModel) -> float:
+    """Closed-form ceiling on the number of turns a plan of the given
+    family makes within distance d: log_b(d(b-1)+1)+1 under STANDARD
+    accounting (one-way distance), m*log_b(d(b-1)/m+1)+m under
+    EXPANDING."""
+    _check_bound(b, m, d)
+    if cost_model is CostModel.EXPANDING:
+        return m * math.log(d * (b - 1.0) / m + 1.0, b) + m
+    return math.log(d * (b - 1.0) + 1.0, b) + 1.0
+
+
+def contract_bound(b: float, t: float) -> float:
+    """Ceiling log_b(t(b-1)+1)+1 on runs started by time t for the
+    single-problem doubling schedule with base b."""
+    _check_bound(b, 1, t)
+    return math.log(t * (b - 1.0) + 1.0, b) + 1.0
+
+
+def preemption_bound(n: int, b: float, t: float) -> float:
+    """Ceiling n*log_b(t(b-1)/n+1)+n on switches by time t for the
+    n-problem round-robin doubling schedule with base b."""
+    _check_bound(b, n, t)
+    return n * math.log(t * (b - 1.0) / n + 1.0, b) + n
+
+
+def _search_ratio_base(m: int, b: float) -> float:
+    return 1.0 + 2.0 * (b**m - 1.0) / (b - 1.0)
+
+
+def _sched_ratio_base(n: int, b: float) -> float:
+    return b ** (n + 1) / (b - 1.0)
+
+
 _CLOSED_FORMS: dict[str, Callable[..., float]] = {
-    # Worst-case ratios of the core strategy families.
-    "search-ratio-printed": _cf_search_ratio_printed,
-    "search-ratio-base": _cf_search_ratio_base,
-    "sched-ratio-optimal": _cf_sched_ratio_optimal,
-    "sched-ratio-base": _cf_sched_ratio_base,
+    # Worst-case ratios of the core strategy families; the printed and
+    # optimal forms are the base forms at the recorded optimal bases.
+    "search-ratio-printed": lambda m: _search_ratio_base(m, m / (m - 1.0)),
+    "search-ratio-base": _search_ratio_base,
+    "sched-ratio-optimal": lambda n: _sched_ratio_base(n, (n + 1.0) / n),
+    "sched-ratio-base": _sched_ratio_base,
     # Probabilistic-detection bounds.
     "prob-search-lower": lambda m, p: m / (2.0 * p),
     "prob-search-upper": lambda m, p: 1.0 + 8.0 * m / (p * p),
@@ -147,25 +196,25 @@ _CLOSED_FORMS: dict[str, Callable[..., float]] = {
     "prob-sched-upper": lambda n, p: _E * n / p + _E / p,
     # Redundant-answer (fault-tolerant) bounds.
     "fault-search-lower": lambda m, r: r * m / 2.0,
-    "fault-search-upper": lambda m, r: 2.0 * _E * (_ceil_half(r) * m - 1.0) + 1.0,
+    "fault-search-upper": lambda m, r: 2.0 * _E * ((r + 1) // 2 * m - 1.0) + 1.0,
     "nm-search-upper": lambda m, r: r * (m - 1.0) * (m / (m - 1.0)) ** m + 2.0 - r,
     "pseudo-repeat-ratio": lambda n, r: r * n * ((n + 1.0) / n) ** (n + 1),
     "rth-largest-ratio": lambda n, r: (r * n + 1.0)
     * (1.0 + 1.0 / (r * n)) ** (r * n),
     # Randomized schedule.
-    "randomized-ratio": _cf_randomized_ratio,
+    "randomized-ratio": beta_r_closed_form,
     "randomized-ratio-asymptote": lambda n: (n + 1.0) * _E / (_E - 1.0),
     # Preemptive and standard accounting (round-robin and doubling).
     "rr-worst": lambda n, b: n * (b + 1.0),
     "rr-asymptotic": lambda n, b: n * b,
-    "preemption-ceiling": lambda n, b, t: n * math.log(t * (b - 1.0) / n + 1.0, b)
-    + n,
-    "contract-ceiling": lambda b, t: math.log(t * (b - 1.0) + 1.0, b) + 1.0,
+    "preemption-ceiling": preemption_bound,
+    "contract-ceiling": contract_bound,
     "expanding-search-worst": lambda m, b: (b + 1.0) * m,
     "expanding-search-asymptotic": lambda m, b: b * m,
-    "turn-ceiling": lambda b, d: math.log(d * (b - 1.0) + 1.0, b) + 1.0,
-    "expanding-turn-ceiling": lambda m, b, d: m * math.log(d * (b - 1.0) / m + 1.0, b)
-    + m,
+    "turn-ceiling": lambda b, d: turn_bound(2, b, d, CostModel.STANDARD),
+    "expanding-turn-ceiling": lambda m, b, d: turn_bound(
+        m, b, d, CostModel.EXPANDING
+    ),
 }
 
 
@@ -188,25 +237,11 @@ def closed_form_ids() -> list[str]:
 
 def beta_r_star(n: int) -> tuple[float, float]:
     """(b_star, value) minimizing the randomized-schedule ratio over
-    bases in [1+1e-6, 50].
-
-    A 64-point logarithmic scan brackets the minimum before the
-    golden-section refinement, guarding against surprises in the
-    trusted unimodality.
-    """
+    bases in [1+1e-6, 50]."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
-    def g(b: float) -> float:
-        return _cf_randomized_ratio(n, b)
-
-    lo, hi = 1.0 + 1e-6, 50.0
-    grid = [lo * (hi / lo) ** (i / 63.0) for i in range(64)]
-    values = [g(b) for b in grid]
-    i_min = values.index(min(values))
-    a = grid[max(0, i_min - 1)]
-    c = grid[min(len(grid) - 1, i_min + 1)]
-    return golden_min(g, Bracket(a, c, tol=1e-10))
+    return scan_golden_min(lambda b: beta_r_closed_form(n, b), 50.0, 1e-10)
 
 
 def figure1_curve(n_max: int) -> list[tuple[int, float, float, float, float]]:
@@ -216,7 +251,7 @@ def figure1_curve(n_max: int) -> list[tuple[int, float, float, float, float]]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows: list[tuple[int, float, float, float, float]] = []
     for n in range(1, n_max + 1):
-        beta_star = _cf_sched_ratio_optimal(n)
+        beta_star = closed_form("sched-ratio-optimal", n=n)
         b_star, value = beta_r_star(n)
         rows.append((n, beta_star, value, b_star, value / beta_star))
     return rows

@@ -3,8 +3,9 @@
 Acceleration ratios are measured by sweeping query times placed just
 after job completions, crediting each problem only with work finished
 strictly before the query, and taking the worst time-to-credit ratio
-over all problems.  Preemption and contract counts with their
-logarithmic ceilings live here too.
+over all problems.  Preemption and contract counts live here too;
+their logarithmic ceilings are defined with the closed-form table in
+numopt and re-exported here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from .core import DEFAULT_HORIZON, Job, RatioReport, SchedulePlan
+from .numopt import contract_bound, preemption_bound  # noqa: F401  (re-exported)
 
 
 class SemanticsKind(Enum):
@@ -190,7 +192,7 @@ def acceleration_ratio(
             horizon=horizon,
             note="some problem never accumulates credit within the horizon",
         )
-    limit_sup, asymptotic = _analytic_schedule_limits(plan, semantics)
+    limit_sup, asymptotic = analytic_schedule_limits(plan, semantics)
     convergence_gap: Optional[float] = None
     if limit_sup is None:
         quartile = seq[-max(1, len(seq) // 4):]
@@ -216,7 +218,7 @@ def acceleration_ratio(
     )
 
 
-def _analytic_schedule_limits(
+def analytic_schedule_limits(
     plan: SchedulePlan, semantics: ScheduleSemantics
 ) -> tuple[Optional[float], Optional[float]]:
     """(limit_sup, asymptotic) for tagged plan families, or (None, None).
@@ -269,31 +271,9 @@ def contract_count(plan: SchedulePlan, t: float) -> int:
     return count
 
 
-def contract_bound(b: float, t: float) -> float:
-    """Ceiling log_b(t(b-1)+1)+1 on runs started by time t for the
-    single-problem doubling schedule with base b."""
-    if b <= 1:
-        raise ValueError(f"base must be > 1, got {b}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return math.log(t * (b - 1.0) + 1.0, b) + 1.0
-
-
 def preemption_count(plan: SchedulePlan, t: float) -> int:
     """Number of run starts (scheduler switches) strictly before time t
     on an interruptible plan."""
     if not plan.interruptible:
         raise ValueError("preemption accounting requires an interruptible plan")
     return contract_count(plan, t)
-
-
-def preemption_bound(n: int, b: float, t: float) -> float:
-    """Ceiling n*log_b(t(b-1)/n+1)+n on switches by time t for the
-    n-problem round-robin doubling schedule with base b."""
-    if n < 1:
-        raise ValueError(f"problem count must be >= 1, got {n}")
-    if b <= 1:
-        raise ValueError(f"base must be > 1, got {b}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return n * math.log(t * (b - 1.0) / n + 1.0, b) + n

@@ -4,7 +4,9 @@ The evaluator simulates the exact walk of a plan move by move, counts
 passes over target points in both movement directions, and sweeps the
 worst-case candidate targets (just beyond each excursion's frontier) to
 estimate the competitive ratio.  Plans built by the standard factories
-carry tags that let the sweep attach an exact analytic supremum.
+carry tags that let the sweep attach an exact analytic supremum.  Turn
+counting lives here too; its ceiling turn_bound is defined with the
+closed-form table in numopt and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     excursion_cost,
     excursion_prefix,
 )
+from .numopt import turn_bound  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,7 @@ def cost_to_visit(
     return math.inf
 
 
-def _analytic_search_limits(
+def analytic_search_limits(
     plan: SearchPlan, required_visits: int
 ) -> tuple[Optional[float], Optional[float]]:
     """(limit_sup, asymptotic) for tagged plan families, or (None, None).
@@ -283,7 +286,7 @@ def competitive_ratio(
             best = ratio
             best_witness = (j, exc.ray, point)
 
-    limit_sup, asymptotic = _analytic_search_limits(plan, r)
+    limit_sup, asymptotic = analytic_search_limits(plan, r)
     notes: list[str] = []
     convergence_gap: Optional[float] = None
     if not ratios:
@@ -378,19 +381,3 @@ def turn_count(
         f"distance budget {distance_budget} not exhausted within "
         f"{max_excursions} excursions"
     )
-
-
-def turn_bound(m: int, b: float, d: float, cost_model: CostModel) -> float:
-    """Closed-form ceiling on the number of turns a plan of the given
-    family makes within distance d: log_b(d(b-1)+1)+1 under STANDARD
-    accounting (one-way distance), m*log_b(d(b-1)/m+1)+m under
-    EXPANDING."""
-    if b <= 1:
-        raise ValueError(f"base must be > 1, got {b}")
-    if d < 0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    if cost_model is CostModel.EXPANDING:
-        if m < 1:
-            raise ValueError(f"ray count must be >= 1, got {m}")
-        return m * math.log(d * (b - 1.0) / m + 1.0, b) + m
-    return math.log(d * (b - 1.0) + 1.0, b) + 1.0

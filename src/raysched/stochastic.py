@@ -16,7 +16,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import DEFAULT_HORIZON, McEstimate, RatioReport, SearchPlan, SchedulePlan
-from .numopt import lemma_root
+from .numopt import beta_r_closed_form, lemma_root
+from .sched_eval import analytic_schedule_limits, longest_completed
 from .search_eval import visit_cost_stream
 from .strategies import make_exponential_schedule
 
@@ -242,7 +243,7 @@ def expected_acc_ratio_mc_contracts(
         raise ValueError(f"problem count must be >= 1, got {n}")
     if not 0 < p <= 1:
         raise ValueError(f"probability must be in (0, 1], got {p}")
-    if b <= 1:
+    if not b > 1:
         raise ValueError(f"base must be > 1, got {b}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -277,7 +278,9 @@ def expected_acc_ratio_mc_contracts(
             note="some problem never completes a run within the horizon",
         )
     asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
-    limit_sup = b ** (n + 1) / (b - 1.0) if p == 1.0 else None
+    limit_sup = None
+    if p == 1.0:
+        limit_sup, _ = analytic_schedule_limits(plan, longest_completed())
     return RatioReport(
         finite_sup=best,
         witness=witness,
@@ -286,16 +289,6 @@ def expected_acc_ratio_mc_contracts(
         asymptotic=asymptotic,
         convergence_gap=abs(best - asymptotic),
     )
-
-
-def beta_r_closed_form(n: int, b: float) -> float:
-    """Exact acceleration ratio n b^(n+1) ln b / ((b^n - 1)(b - 1)) of
-    the randomized schedule."""
-    if n < 1:
-        raise ValueError(f"problem count must be >= 1, got {n}")
-    if b <= 1:
-        raise ValueError(f"base must be > 1, got {b}")
-    return n * b ** (n + 1) * math.log(b) / ((b**n - 1.0) * (b - 1.0))
 
 
 @dataclass(frozen=True)
@@ -315,7 +308,7 @@ class RandomizedScheduleParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"problem count must be >= 1, got {self.n}")
-        if self.b <= 1:
+        if not self.b > 1:
             raise ValueError(f"base must be > 1, got {self.b}")
         if self.epsilon_grid_size < 1:
             raise ValueError(

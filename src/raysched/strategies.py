@@ -16,7 +16,7 @@ from .core import CostModel, Excursion, PlanTag, SchedulePlan, SearchPlan
 
 
 def _require_base(b: float) -> None:
-    if b <= 1:
+    if not b > 1:
         raise ValueError(f"growth base must be > 1, got {b}")
 
 
