@@ -88,7 +88,10 @@ def _json_cell(value) -> str:
     return json.dumps(value)
 
 
-def _render(rows: list[dict], header: list[str], fmt: str) -> str:
+def _render(rows: list[dict], fmt: str) -> str:
+    """Rows as CSV or JSON; every command returns at least one row, and
+    the first row's keys are the columns in order."""
+    header = list(rows[0])
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
@@ -118,7 +121,7 @@ def _witness_parts(witness) -> tuple[Optional[int], Optional[float]]:
     return ray, point
 
 
-def _cmd_search_eval(args) -> tuple[list[str], list[dict], int]:
+def _cmd_search_eval(args) -> tuple[list[dict], int]:
     natural = CostModel.EXPANDING if args.strategy == "geometric" else CostModel.STANDARD
     if args.cost_model is not None:
         requested = CostModel(args.cost_model)
@@ -139,19 +142,6 @@ def _cmd_search_eval(args) -> tuple[list[str], list[dict], int]:
         plan = make_geometric_search(args.m, b)
     report = competitive_ratio(plan, rth_visit(args.r), args.horizon)
     ray, point = _witness_parts(report.witness)
-    header = [
-        "strategy",
-        "m",
-        "b",
-        "r",
-        "cost_model",
-        "horizon",
-        "finite_sup",
-        "limit_sup",
-        "asymptotic",
-        "witness_ray",
-        "witness_distance",
-    ]
     rows = [
         {
             "strategy": args.strategy,
@@ -167,13 +157,13 @@ def _cmd_search_eval(args) -> tuple[list[str], list[dict], int]:
             "witness_distance": point,
         }
     ]
-    return header, rows, 0
+    return rows, 0
 
 
 _SEMANTICS_FLAGS = ("longest", "r-completed", "rth-largest", "aggregate")
 
 
-def _cmd_sched_eval(args) -> tuple[list[str], list[dict], int]:
+def _cmd_sched_eval(args) -> tuple[list[dict], int]:
     if args.b is None:
         b = optimal_base_schedule(args.n) if args.strategy != "geometric-rr" else 2.0
     else:
@@ -193,18 +183,6 @@ def _cmd_sched_eval(args) -> tuple[list[str], list[dict], int]:
     else:
         semantics = aggregate_interruptible()
     report = acceleration_ratio(plan, semantics, args.horizon)
-    header = [
-        "strategy",
-        "n",
-        "b",
-        "r",
-        "semantics",
-        "horizon",
-        "finite_sup",
-        "limit_sup",
-        "asymptotic",
-        "witness_time",
-    ]
     rows = [
         {
             "strategy": args.strategy,
@@ -219,10 +197,10 @@ def _cmd_sched_eval(args) -> tuple[list[str], list[dict], int]:
             "witness_time": report.witness,
         }
     ]
-    return header, rows, 0
+    return rows, 0
 
 
-def _cmd_prob_search(args) -> tuple[list[str], list[dict], int]:
+def _cmd_prob_search(args) -> tuple[list[dict], int]:
     direction = (
         DirectionRule.OUTWARD_ONLY
         if args.direction == "outward-only"
@@ -232,18 +210,6 @@ def _cmd_prob_search(args) -> tuple[list[str], list[dict], int]:
     model = DetectionModel(args.p, direction)
     plan = make_exponential_search(args.m, b)
     report = probabilistic_competitive_ratio(plan, model, args.horizon)
-    header = [
-        "m",
-        "p",
-        "b",
-        "direction",
-        "horizon",
-        "finite_sup",
-        "limit_sup",
-        "asymptotic",
-        "lower_bound",
-        "upper_bound",
-    ]
     rows = [
         {
             "m": args.m,
@@ -258,16 +224,15 @@ def _cmd_prob_search(args) -> tuple[list[str], list[dict], int]:
             "upper_bound": closed_form("prob-search-upper", m=args.m, p=args.p),
         }
     ]
-    return header, rows, 0
+    return rows, 0
 
 
-def _cmd_rand_sched(args) -> tuple[list[str], list[dict], int]:
+def _cmd_rand_sched(args) -> tuple[list[dict], int]:
     params = RandomizedScheduleParams(
         n=args.n, b=args.b, t_grid=standard_t_grid(args.n, args.b)
     )
     detail = mc_randomized_schedule_detail(params, args.trials, args.seed)
     reference = beta_r_closed_form(args.n, args.b)
-    header = ["n", "b", "k", "delta", "t", "d_mean", "d_stderr", "ratio", "beta_r"]
     rows = [
         {
             "n": args.n,
@@ -282,10 +247,10 @@ def _cmd_rand_sched(args) -> tuple[list[str], list[dict], int]:
         }
         for row in detail
     ]
-    return header, rows, 0
+    return rows, 0
 
 
-def _cmd_opt_base(args) -> tuple[list[str], list[dict], int]:
+def _cmd_opt_base(args) -> tuple[list[dict], int]:
     if args.target == "beta-r":
         b_star, value = beta_r_star(args.n)
     elif args.target == "search":
@@ -300,12 +265,11 @@ def _cmd_opt_base(args) -> tuple[list[str], list[dict], int]:
             longest_completed(),
             DEFAULT_HORIZON,
         ).limit_sup
-    header = ["target", "n", "b_star", "value"]
     rows = [{"target": args.target, "n": args.n, "b_star": b_star, "value": value}]
-    return header, rows, 0
+    return rows, 0
 
 
-def _cmd_tradeoff(args) -> tuple[list[str], list[dict], int]:
+def _cmd_tradeoff(args) -> tuple[list[dict], int]:
     times = args.t if args.t else [5.0]
     rows = []
     if args.model == "preemptive":
@@ -351,12 +315,10 @@ def _cmd_tradeoff(args) -> tuple[list[str], list[dict], int]:
                 "holds": count <= bound + 1e-9,
             }
         )
-    header = ["model", "size", "b", "t", "count", "bound", "holds"]
-    return header, rows, 0
+    return rows, 0
 
 
-def _cmd_curve_fig1(args) -> tuple[list[str], list[dict], int]:
-    header = ["n", "beta_star", "beta_r_star", "b_star", "ratio"]
+def _cmd_curve_fig1(args) -> tuple[list[dict], int]:
     rows = [
         {
             "n": n,
@@ -367,10 +329,10 @@ def _cmd_curve_fig1(args) -> tuple[list[str], list[dict], int]:
         }
         for n, beta_star, value, b_star, ratio in figure1_curve(args.n_max)
     ]
-    return header, rows, 0
+    return rows, 0
 
 
-def _cmd_claims(args) -> tuple[list[str], list[dict], int]:
+def _cmd_claims(args) -> tuple[list[dict], int]:
     config = ClaimConfig(
         subset=args.subset,
         horizon=args.horizon,
@@ -383,7 +345,6 @@ def _cmd_claims(args) -> tuple[list[str], list[dict], int]:
             f"subset {args.subset!r} selects no claims; known ids: "
             + ", ".join(claim_ids())
         )
-    header = ["claim_id", "paper_value", "measured", "relation", "verdict", "gap"]
     rows = [
         {
             "claim_id": check.claim_id,
@@ -400,7 +361,7 @@ def _cmd_claims(args) -> tuple[list[str], list[dict], int]:
         not check.holds and not check.informational for check in checks
     ):
         exit_code = 1
-    return header, rows, exit_code
+    return rows, exit_code
 
 
 def _add_common_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -517,8 +478,8 @@ def console_main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        header, rows, exit_code = args.handler(args)
-        _emit(_render(rows, header, args.format), args.out)
+        rows, exit_code = args.handler(args)
+        _emit(_render(rows, args.format), args.out)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 ABS_TOL = 1e-9
 DEFAULT_HORIZON = 200
 
@@ -133,6 +135,61 @@ class ExcursionStep:
     cumulative_cost: float
 
 
+class SearchTrajectory:
+    """A search plan's excursion prefix as columns, grown on demand.
+
+    ray, inner, outer, cost and cum (the running cost, summed in walk
+    order) hold one entry per excursion; next_same[k] is the next
+    excursion on k's ray, or -1.  plan.excursion is called once per
+    index.  The first index that cannot be materialized (the plan
+    raises, or cum leaves float range) ends the prefix, and its error is
+    raised to every caller that needs it.  hint appends advice to the
+    overflow message (excursion_prefix and competitive_ratio give it,
+    the pass streams do not).
+    """
+
+    def __init__(self, plan: SearchPlan, *, hint: bool = False) -> None:
+        self.plan = plan
+        self.hint = hint
+        self.size = 0
+        self.excursions: list[Excursion] = []
+        self.ray = np.empty(0, dtype=np.intp)
+        self.next_same = np.empty(0, dtype=np.intp)
+        self.inner, self.outer, self.cost, self.cum = (np.empty(0) for _ in range(4))
+        self._last = [-1] * plan.ray_count
+        self._error: Optional[Exception] = None
+
+    def reach(self, count: int) -> None:
+        """Materialize the first count excursions, or raise the error of
+        the first one that cannot be."""
+        while self.size < count:
+            if self._error is not None:
+                raise self._error
+            i = self.size
+            try:
+                exc = self.plan.excursion(i)
+                c = excursion_cost(self.plan, exc)
+                cum = (float(self.cum[i - 1]) if i else 0.0) + c
+                if not math.isfinite(cum):
+                    advice = "; reduce the horizon or the growth base"
+                    raise ValueError(f"cumulative cost overflowed at excursion {i}"
+                                     + (advice if self.hint else ""))
+            except Exception as err:
+                self._error = err
+                raise
+            if i == len(self.ray):
+                for name in ("ray", "next_same", "inner", "outer", "cost", "cum"):
+                    setattr(self, name, np.resize(getattr(self, name), 2 * i + 64))
+            self.ray[i], self.next_same[i] = exc.ray, -1
+            self.inner[i], self.outer[i] = exc.depth_inner, exc.depth_outer
+            self.cost[i], self.cum[i] = c, cum
+            if self._last[exc.ray] >= 0:
+                self.next_same[self._last[exc.ray]] = i
+            self._last[exc.ray] = i
+            self.excursions.append(exc)
+            self.size = i + 1
+
+
 def excursion_prefix(plan: SearchPlan, count: int) -> list[ExcursionStep]:
     """Materialize the first count excursions with running costs.
 
@@ -140,19 +197,16 @@ def excursion_prefix(plan: SearchPlan, count: int) -> list[ExcursionStep]:
     happens when excursion depths overflow float range; callers should
     shrink the horizon or the base rather than trust infinities.
     """
-    steps: list[ExcursionStep] = []
-    cum = 0.0
-    for i in range(count):
-        exc = plan.excursion(i)
-        c = excursion_cost(plan, exc)
-        cum += c
-        if not math.isfinite(cum):
-            raise ValueError(
-                f"cumulative cost overflowed at excursion {i}; "
-                "reduce the horizon or the growth base"
-            )
-        steps.append(ExcursionStep(excursion=exc, cost=c, cumulative_cost=cum))
-    return steps
+    trajectory = SearchTrajectory(plan, hint=True)
+    trajectory.reach(count)
+    return [
+        ExcursionStep(excursion=exc, cost=c, cumulative_cost=cum)
+        for exc, c, cum in zip(
+            trajectory.excursions,
+            trajectory.cost[:count].tolist(),
+            trajectory.cum[:count].tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True)

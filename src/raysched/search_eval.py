@@ -11,18 +11,19 @@ closed-form table in numopt and re-exported here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .core import (
     DEFAULT_HORIZON,
     CostModel,
-    ExcursionStep,
     RatioReport,
     SearchPlan,
-    excursion_cost,
-    excursion_prefix,
+    SearchTrajectory,
 )
 from .numopt import turn_bound  # noqa: F401  (re-exported)
 
@@ -48,81 +49,92 @@ def rth_visit(r: int) -> SearchSemantics:
     return SearchSemantics(required_visits=r)
 
 
-def _waypoints(excursion, traversals: int) -> list[float]:
+_STREAM_EXCURSIONS = 1_000_000  # how far one target's pass stream walks
+
+
+def _waypoints(inner, outer, traversals: int) -> list:
     """Positions visited in order during one excursion of a STANDARD
     plan: origin, far end, then alternating near/far sweeps, then origin.
 
     The approach and the first sweep are contiguous (one outward move),
     and the return from the final sweep endpoint is likewise one inward
     move; splitting them differently would not change pass accounting.
+    inner and outer may be floats or aligned arrays.
     """
-    pts = [0.0, excursion.depth_outer]
-    for t in range(1, traversals):
-        pts.append(
-            excursion.depth_inner if pts[-1] == excursion.depth_outer
-            else excursion.depth_outer
-        )
-    pts.append(0.0)
-    return pts
+    return [0.0] + [outer if t % 2 == 0 else inner for t in range(traversals)] + [0.0]
 
 
-def _step_visit_costs(
-    plan: SearchPlan,
-    step: ExcursionStep,
-    ray: int,
-    point: float,
-    *,
-    beyond: bool = False,
-    outward_only: bool = False,
-) -> Iterator[float]:
-    """Costs at which this single excursion passes over the target.
+def _passes(plan: SearchPlan, trajectory: SearchTrajectory, k, point, *,
+            beyond: bool, outward_only: bool):
+    """Pass costs of excursions k over targets at point (an index and a
+    depth on its ray, or aligned arrays of them), yielded as (hit, cost)
+    per move in walk order, cost being valid where hit is set.
 
-    With beyond=False the target sits exactly at `point`; an outward
-    move a->b passes it when point is in (a, b], an inward move when it
-    is in [b, a).  With beyond=True the target sits just past `point`
-    (the analytic right limit): outward passes cover [a, b), inward
-    passes again [b, a), and the infinitesimal offset drops out of the
-    cost.  Under the EXPANDING model a pass happens once, at the
-    completion of the segment that covers the point, charged the full
-    cumulative cost at that completion.
+    With beyond=False the target sits exactly at point: an outward move
+    a->b passes it when point is in (a, b], an inward one when it is in
+    [b, a).  With beyond=True it sits just past point (the analytic
+    right limit): outward passes cover [a, b), inward ones [b, a), and
+    the offset drops out of the cost.  Under EXPANDING a pass happens
+    once, when the segment covering the point completes, at that cum.
+    The walk starts at cum - cost, which can differ from the previous
+    excursion's cum in the last bit, and adds each move's length in turn;
+    a missed move adds 0 times its offset, so nothing discarded overflows.
     """
-    exc = step.excursion
-    if exc.ray != ray:
-        return
+    inner, outer, cum = trajectory.inner[k], trajectory.outer[k], trajectory.cum[k]
     if plan.cost_model is CostModel.EXPANDING:
-        inner, outer = exc.depth_inner, exc.depth_outer
-        hit = (inner <= point < outer) if beyond else (inner < point <= outer)
-        if hit:
-            yield step.cumulative_cost
+        if beyond:
+            yield (inner <= point) & (point < outer), cum
+        else:
+            yield (inner < point) & (point <= outer), cum
         return
-    cum = step.cumulative_cost - step.cost
-    pts = _waypoints(exc, plan.traversals)
-    for a, b in zip(pts, pts[1:]):
-        if a < b:
-            hit = (a <= point < b) if beyond else (a < point <= b)
-            if hit:
-                yield cum + (point - a)
-        elif not outward_only and b <= point < a:
-            yield cum + (a - point)
-        cum += abs(b - a)
+    walked = cum - trajectory.cost[k]
+    pts = _waypoints(inner, outer, plan.traversals)
+    for t, (a, b) in enumerate(zip(pts, pts[1:])):
+        if t % 2 == 0 and t < plan.traversals:  # outward, to the far end
+            if beyond:
+                hit = (a <= point) & (point < b)
+            else:
+                hit = (a < point) & (point <= b)
+            yield hit, walked + hit * (point - a)
+        elif not outward_only:
+            hit = (b <= point) & (point < a)
+            yield hit, walked + hit * (a - point)
+        walked = walked + abs(b - a)
 
 
-def iter_visit_costs(
-    plan: SearchPlan,
-    steps: list[ExcursionStep],
-    ray: int,
-    point: float,
-    *,
-    beyond: bool = False,
-    outward_only: bool = False,
-    start: int = 0,
-) -> Iterator[float]:
-    """All pass costs for a target over the given excursion prefix,
-    in walk order, starting at excursion index `start`."""
-    for step in steps[start:]:
-        yield from _step_visit_costs(
-            plan, step, ray, point, beyond=beyond, outward_only=outward_only
-        )
+def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
+                    passes: int, *, outward_only: bool = False, grow: bool = False):
+    """The first `passes` passes over the targets just beyond the
+    frontiers of excursions 0..count-1, each scanning its ray's later
+    excursions, all in lock step: yields (candidates, pass ordinals from
+    0, costs) move by move.  With grow, the trajectory is extended while
+    a candidate waits for its ray's next excursion, up to the stream
+    length of visit_cost_stream; otherwise candidates end with the
+    materialized prefix.
+    """
+    trajectory.reach(count)
+    point = trajectory.outer[:count]
+    seen = np.zeros(count, dtype=np.intp)
+    cand = k = np.arange(count)
+    while True:
+        alive = seen[cand] < passes
+        cand, k = cand[alive], k[alive]
+        nxt = trajectory.next_same[k]
+        while grow and (nxt < 0).any() and trajectory.size < count + _STREAM_EXCURSIONS:
+            trajectory.reach(trajectory.size + 1)
+            nxt = trajectory.next_same[k]
+        keep = nxt >= 0
+        if grow:
+            keep &= nxt <= cand + _STREAM_EXCURSIONS
+        cand, k = cand[keep], nxt[keep]
+        if not cand.size:
+            return
+        for hit, cost in _passes(plan, trajectory, k, point[cand], beyond=True,
+                                 outward_only=outward_only):
+            hit &= seen[cand] < passes
+            taken = cand[hit]
+            yield taken, seen[taken], cost[hit]
+            seen[taken] += 1
 
 
 def visit_cost_stream(
@@ -133,29 +145,23 @@ def visit_cost_stream(
     beyond: bool = False,
     outward_only: bool = False,
     start: int = 0,
-    max_excursions: int = 1_000_000,
+    max_excursions: int = _STREAM_EXCURSIONS,
 ) -> Iterator[float]:
-    """Lazily yield every pass cost for a target, in walk order,
-    generating excursions on demand from index `start` at cumulative
-    cost resumed from the skipped prefix."""
+    """Lazily yield every pass cost for a target, in walk order, over
+    excursions start .. start + max_excursions - 1, generating them on
+    demand; the walk resumes from the prefix's cumulative cost."""
     if not (0 <= ray < plan.ray_count):
         raise ValueError(f"target ray {ray} outside [0, {plan.ray_count})")
     if point <= 0:
         raise ValueError(f"target distance must be > 0, got {point}")
-    cum = 0.0
-    for i in range(start):
-        cum += excursion_cost(plan, plan.excursion(i))
-    for i in range(start, start + max_excursions):
-        exc = plan.excursion(i)
-        c = excursion_cost(plan, exc)
-        new_cum = cum + c
-        if not math.isfinite(new_cum):
-            raise ValueError(f"cumulative cost overflowed at excursion {i}")
-        step = ExcursionStep(excursion=exc, cost=c, cumulative_cost=new_cum)
-        yield from _step_visit_costs(
-            plan, step, ray, point, beyond=beyond, outward_only=outward_only
-        )
-        cum = new_cum
+    trajectory = SearchTrajectory(plan)
+    for k in range(start, start + max_excursions):
+        trajectory.reach(k + 1)
+        if trajectory.ray[k] == ray:
+            for hit, cost in _passes(plan, trajectory, k, point, beyond=beyond,
+                                     outward_only=outward_only):
+                if hit:
+                    yield float(cost)
 
 
 def cost_to_visit(
@@ -178,19 +184,15 @@ def cost_to_visit(
     ray, point = target
     if k < 1:
         raise ValueError(f"visit ordinal must be >= 1, got {k}")
-    seen = 0
-    for cost in visit_cost_stream(
+    passes = visit_cost_stream(
         plan,
         ray,
         point,
         beyond=beyond,
         outward_only=outward_only,
         max_excursions=max_excursions,
-    ):
-        seen += 1
-        if seen == k:
-            return cost
-    return math.inf
+    )
+    return next(itertools.islice(passes, k - 1, None), math.inf)
 
 
 def analytic_search_limits(
@@ -257,38 +259,16 @@ def competitive_ratio(
         raise ValueError(f"horizon {horizon} must cover at least {m} excursions")
     r = semantics.required_visits
     buffer = ((r + 1) // 2 + 1) * m
-    steps = excursion_prefix(plan, horizon + buffer)
+    trajectory = SearchTrajectory(plan, hint=True)
+    trajectory.reach(horizon + buffer)
 
-    ratios: list[float] = []
-    candidates: list[int] = []
-    best = -math.inf
-    best_witness: Optional[tuple[int, int, float]] = None
-    unreachable = 0
-    for j in range(horizon):
-        exc = steps[j].excursion
-        point = exc.depth_outer
-        found: Optional[float] = None
-        seen = 0
-        for cost in iter_visit_costs(
-            plan, steps, exc.ray, point, beyond=True, start=j + 1
-        ):
-            seen += 1
-            if seen == r:
-                found = cost
-                break
-        if found is None:
-            unreachable += 1
-            continue
-        ratio = found / point
-        ratios.append(ratio)
-        candidates.append(j)
-        if ratio > best:
-            best = ratio
-            best_witness = (j, exc.ray, point)
-
-    limit_sup, asymptotic = analytic_search_limits(plan, r)
-    notes: list[str] = []
-    convergence_gap: Optional[float] = None
+    found = np.full(horizon, math.nan)
+    for taken, ordinal, cost in frontier_passes(plan, trajectory, horizon, r):
+        last = ordinal == r - 1
+        found[taken[last]] = cost[last]
+    reached = np.flatnonzero(~np.isnan(found))
+    ratio_array = found[reached] / trajectory.outer[reached]
+    ratios = ratio_array.tolist()
     if not ratios:
         return RatioReport(
             finite_sup=math.inf,
@@ -297,6 +277,12 @@ def competitive_ratio(
             note="no candidate target is passed the required number of times "
             "within the horizon",
         )
+    j = int(reached[np.argmax(ratio_array)])
+    best_witness = (j, int(trajectory.ray[j]), float(trajectory.outer[j]))
+    limit_sup, asymptotic = analytic_search_limits(plan, r)
+    notes: list[str] = []
+    convergence_gap: Optional[float] = None
+    unreachable = horizon - reached.size
     if unreachable:
         notes.append(
             f"{unreachable} candidate(s) not passed the required number of "
@@ -321,7 +307,7 @@ def competitive_ratio(
                 "attained only in the limit or be unbounded"
             )
     return RatioReport(
-        finite_sup=best,
+        finite_sup=max(ratios),
         witness=best_witness,
         horizon=horizon,
         limit_sup=limit_sup,
@@ -364,7 +350,7 @@ def turn_count(
                 return count
             count += 1
             continue
-        pts = _waypoints(exc, plan.traversals)
+        pts = _waypoints(exc.depth_inner, exc.depth_outer, plan.traversals)
         for a, b in zip(pts, pts[1:]):
             d = abs(b - a)
             if b > a:

@@ -8,6 +8,7 @@ deterministic for a given seed and independent of execution order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -15,10 +16,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import DEFAULT_HORIZON, McEstimate, RatioReport, SearchPlan, SchedulePlan
+from .core import DEFAULT_HORIZON, McEstimate, RatioReport, SchedulePlan, SearchPlan
+from .core import SearchTrajectory
 from .numopt import beta_r_closed_form, lemma_root
 from .sched_eval import analytic_schedule_limits, longest_completed
-from .search_eval import visit_cost_stream
+from .search_eval import frontier_passes, visit_cost_stream
 from .strategies import make_exponential_schedule
 
 
@@ -74,20 +76,17 @@ def _unbounded_reason(plan: SearchPlan, p: float) -> Optional[str]:
     return None
 
 
-def _truncated_series(
-    costs: Iterator[float], p: float, tail_tol: float
-) -> float:
-    """Sum of p(1-p)^(k-1) * cost_k, dropping terms once the survival
-    weight (1-p)^(k-1) falls below tail_tol."""
+def _series_weights(p: float, tail_tol: float) -> Iterator[float]:
+    """Weights p(1-p)^(k-1) of the detection series in pass order, the
+    survival factor (1-p)^(k-1) built by repeated multiplication; ends
+    once that factor falls below tail_tol."""
     q = 1.0 - p
-    total = 0.0
     survival = 1.0
-    for cost in costs:
-        total += p * survival * cost
+    while True:
+        yield p * survival
         survival *= q
         if survival < tail_tol:
-            break
-    return total
+            return
 
 
 def expected_search_cost(
@@ -112,11 +111,13 @@ def expected_search_cost(
         return math.inf
     ray, point = target
     outward = model.direction_rule is DirectionRule.OUTWARD_ONLY
-    return _truncated_series(
+    total = 0.0
+    for weight, cost in zip(
+        _series_weights(model.p, tail_tol),
         visit_cost_stream(plan, ray, point, beyond=beyond, outward_only=outward),
-        model.p,
-        tail_tol,
-    )
+    ):
+        total += weight * cost
+    return total
 
 
 def mc_search_cost(
@@ -138,18 +139,10 @@ def mc_search_cost(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     ordinals = rng.geometric(model.p, size=trials)
     needed = int(ordinals.max())
-    costs: list[float] = []
-    for cost in visit_cost_stream(
-        plan, ray, point, beyond=beyond, outward_only=outward
-    ):
-        costs.append(cost)
-        if len(costs) >= needed:
-            break
-    if len(costs) < needed:
-        lut = np.full(needed, math.inf)
-        lut[: len(costs)] = costs
-    else:
-        lut = np.asarray(costs)
+    passes = visit_cost_stream(plan, ray, point, beyond=beyond, outward_only=outward)
+    costs = list(itertools.islice(passes, needed))
+    lut = np.full(needed, math.inf)
+    lut[: len(costs)] = costs
     sample = lut[ordinals - 1]
     mean = float(np.mean(sample))
     stderr = (
@@ -179,24 +172,20 @@ def probabilistic_competitive_ratio(
     p = model.p
     q = 1.0 - p
     outward = model.direction_rule is DirectionRule.OUTWARD_ONLY
-    best = -math.inf
-    witness = None
-    last_ratio = None
-    for j in range(horizon):
-        exc = plan.excursion(j)
-        point = exc.depth_outer
-        expected = _truncated_series(
-            visit_cost_stream(
-                plan, exc.ray, point, beyond=True, outward_only=outward, start=j + 1
-            ),
-            p,
-            1e-12,
-        )
-        ratio = expected / point
-        last_ratio = ratio
-        if ratio > best:
-            best = ratio
-            witness = (j, exc.ray, point)
+    # Every candidate's series is summed term by term in pass order, all
+    # candidates at once; np.sum would reorder the additions.
+    weights = np.fromiter(_series_weights(p, 1e-12), dtype=float)
+    trajectory = SearchTrajectory(plan)
+    expected = np.zeros(horizon)
+    for taken, ordinal, cost in frontier_passes(
+        plan, trajectory, horizon, weights.size, outward_only=outward, grow=True
+    ):
+        expected[taken] += weights[ordinal] * cost
+    ratios = expected / trajectory.outer[:horizon]
+    j = int(np.argmax(ratios))
+    best = float(ratios[j])
+    witness = (j, int(trajectory.ray[j]), float(trajectory.outer[j]))
+    last_ratio = float(ratios[-1])
     limit_sup = None
     asymptotic = None
     tag = plan.tag
@@ -211,7 +200,7 @@ def probabilistic_competitive_ratio(
             ) + p / (1.0 + q)
         limit_sup = asymptotic = value
     convergence_gap = None
-    if asymptotic is not None and last_ratio is not None:
+    if asymptotic is not None:
         convergence_gap = abs(asymptotic - last_ratio)
     return RatioReport(
         finite_sup=best,
@@ -325,7 +314,16 @@ class RandomizedScheduleParams:
                 )
             if not 0 <= delta < 1:
                 raise ValueError(f"delta must be in [0, 1), got {delta}")
-            if b**delta >= (b ** (k + 1) - 1.0) / (b**k - 1.0):
+            try:
+                top = b ** (k + 1)
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top):
+                raise ValueError(
+                    f"grid point (k={k}, delta={delta}) overflowed float range "
+                    f"at base {b}; reduce the base"
+                )
+            if b**delta >= (top - 1.0) / (b**k - 1.0):
                 raise ValueError(
                     f"grid point (k={k}, delta={delta}) breaks the "
                     "running-run index invariant"

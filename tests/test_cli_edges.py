@@ -27,8 +27,10 @@ def _usage_error(argv, capsys):
     [
         ["sched-eval", "--n", "3", "--b", "2.318877", "--horizon", "1500"],
         ["search-eval", "--m", "2", "--b", "4", "--horizon", "600"],
+        ["rand-sched", "--n", "2", "--b", "inf"],
+        ["rand-sched", "--n", "2", "--b", "1e300"],
     ],
-    ids=["sched-eval", "search-eval"],
+    ids=["sched-eval", "search-eval", "rand-sched-inf", "rand-sched-1e300"],
 )
 def test_float_range_overflow_exits_2(argv, capsys):
     assert "overflow" in _usage_error(argv, capsys)
