@@ -134,6 +134,8 @@ def mc_search_cost(
     trial draws the ordinal and looks up its exact walk cost."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ray, point = target
     outward = model.direction_rule is DirectionRule.OUTWARD_ONLY
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -355,33 +357,40 @@ def mc_randomized_schedule_detail(
     length b^(i+epsilon) and serves the permutation's (i mod n)-th
     problem.  The count of completed runs is found from the finish
     times and asserted to be k or k-1; the queried problem's most
-    recent completed run is D.  Epsilon is sampled stratified over
+    recent completed run is D.  The permutation is the argsort of n
+    uniform keys, so the queried problem's slot in it is the rank of its
+    key: one draw matrix and no sort.  Epsilon is sampled stratified over
     [0, 1); each grid point gets an independent child seed, so rows are
     reproducible in any execution order."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n, b = params.n, params.b
+    strata = np.arange(trials) % params.epsilon_grid_size
     rows: list[dict] = []
     for idx, (k, delta) in enumerate(params.t_grid):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         )
         t = params.query_time(k, delta)
-        strata = np.arange(trials) % params.epsilon_grid_size
         eps = (strata + rng.random(trials)) / params.epsilon_grid_size
         # Finish of run j is b^eps (b^j - 1)/(b - 1); the number of
         # completed runs l satisfies finish(l) <= t < finish(l+1).
-        finish_k = b**eps * (b**k - 1.0) / (b - 1.0)
+        b_eps = b**eps
+        finish_k = b_eps * (b**k - 1.0) / (b - 1.0)
         run_index = np.where(finish_k <= t, k, k - 1)
-        finish_l = b**eps * (b ** run_index.astype(float) - 1.0) / (b - 1.0)
-        finish_next = b**eps * (b ** (run_index + 1.0) - 1.0) / (b - 1.0)
+        finish_l = b_eps * (b ** run_index.astype(float) - 1.0) / (b - 1.0)
+        finish_next = b_eps * (b ** (run_index + 1.0) - 1.0) / (b - 1.0)
         if not bool(np.all((finish_l <= t) & (t < finish_next))):
             raise AssertionError(
                 "running-run index fell outside {k-1, k} at "
                 f"grid point (k={k}, delta={delta})"
             )
-        perms = np.argsort(rng.random((trials, n)), axis=1)
-        slot_of_queried = np.argmax(perms == 0, axis=1)
+        keys = rng.random((trials, n))
+        slot_of_queried = np.zeros(trials, dtype=np.intp)
+        for j in range(1, n):
+            slot_of_queried += keys[:, j] < keys[:, 0]
         staleness = (run_index - 1 - slot_of_queried) % n
         last_index = run_index - 1 - staleness
         sample = b ** (last_index + eps)
@@ -389,16 +398,8 @@ def mc_randomized_schedule_detail(
         stderr = (
             float(np.std(sample, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         )
-        rows.append(
-            {
-                "k": k,
-                "delta": delta,
-                "t": t,
-                "d_mean": mean,
-                "d_stderr": stderr,
-                "ratio": t / mean,
-            }
-        )
+        rows.append(dict(k=k, delta=delta, t=t, d_mean=mean, d_stderr=stderr,
+                         ratio=t / mean))
     return rows
 
 

@@ -43,6 +43,18 @@ def test_nan_base_is_rejected_by_name(command, capsys):
     assert "base must be > 1, got nan" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rand-sched", "--n", "2", "--b", "1.5", "--seed", "-1"],
+        ["claims", "--seed", "-1"],
+    ],
+    ids=["rand-sched", "claims"],
+)
+def test_negative_seed_is_rejected_by_name(argv, capsys):
+    assert _usage_error(argv, capsys) == "error: seed must be >= 0, got -1\n"
+
+
 def test_generator_overflow_becomes_the_range_error():
     def huge(i):
         return 10.0 ** (400 * i)
