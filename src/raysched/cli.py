@@ -480,7 +480,7 @@ def console_main(argv: Optional[list[str]] = None) -> int:
     try:
         rows, exit_code = args.handler(args)
         _emit(_render(rows, args.format), args.out)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return exit_code

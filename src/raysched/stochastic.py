@@ -356,47 +356,82 @@ def mc_randomized_schedule_detail(
     by sampling the schedule's random permutation and offset: run i has
     length b^(i+epsilon) and serves the permutation's (i mod n)-th
     problem.  The count of completed runs is found from the finish
-    times and asserted to be k or k-1; the queried problem's most
-    recent completed run is D.  The permutation is the argsort of n
-    uniform keys, so the queried problem's slot in it is the rank of its
-    key: one draw matrix and no sort.  Epsilon is sampled stratified over
-    [0, 1); each grid point gets an independent child seed, so rows are
-    reproducible in any execution order."""
+    times and checked on every trial to be k or k-1; the queried
+    problem's most recent completed run is D.  The permutation is the
+    argsort of n uniform keys, so the queried problem's slot in it is
+    the rank of its key: one draw matrix and no sort.  Epsilon is
+    sampled stratified over [0, 1); each grid point gets an independent
+    child seed, so rows are reproducible in any execution order.
+
+    A call allocates its work vectors once, and every grid point refills
+    them in place (``out=``) with the same draws and the same float
+    operations, in the same operand order, as a fresh-array evaluation:
+    the rows are the same to the last bit."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     n, b = params.n, params.b
-    strata = np.arange(trials) % params.epsilon_grid_size
+    grid_size = params.epsilon_grid_size
+    strata = (np.arange(trials) % grid_size).astype(float)
+    eps = np.empty(trials)
+    b_eps = np.empty(trials)
+    work = np.empty(trials)
+    at_k = np.empty(trials, dtype=bool)
+    mask = np.empty(trials, dtype=bool)
+    slot = np.empty(trials, dtype=np.intp)
+    keys = np.empty((trials, n))
+
+    def finish(j: int) -> np.ndarray:
+        """Finish time of run j, b^eps (b^j - 1)/(b - 1), into work."""
+        np.multiply(b_eps, b**j - 1.0, out=work)
+        return np.divide(work, b - 1.0, out=work)
+
     rows: list[dict] = []
     for idx, (k, delta) in enumerate(params.t_grid):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         )
         t = params.query_time(k, delta)
-        eps = (strata + rng.random(trials)) / params.epsilon_grid_size
-        # Finish of run j is b^eps (b^j - 1)/(b - 1); the number of
-        # completed runs l satisfies finish(l) <= t < finish(l+1).
-        b_eps = b**eps
-        finish_k = b_eps * (b**k - 1.0) / (b - 1.0)
-        run_index = np.where(finish_k <= t, k, k - 1)
-        finish_l = b_eps * (b ** run_index.astype(float) - 1.0) / (b - 1.0)
-        finish_next = b_eps * (b ** (run_index + 1.0) - 1.0) / (b - 1.0)
-        if not bool(np.all((finish_l <= t) & (t < finish_next))):
+        rng.random(out=eps)
+        np.add(strata, eps, out=eps)
+        np.divide(eps, grid_size, out=eps)
+        np.power(b, eps, out=b_eps)
+        # The number of completed runs l satisfies finish(l) <= t <
+        # finish(l+1): l = k where at_k holds, k-1 elsewhere.  at_k settles
+        # one side of that bracket; the other side, t < finish(k+1) or
+        # finish(k-1) <= t, is checked on every trial.
+        np.less_equal(finish(k), t, out=at_k)
+        np.less_equal(finish(k + 1), t, out=mask)
+        escaped = bool(np.logical_and(mask, at_k, out=mask).any())
+        np.less_equal(finish(k - 1), t, out=mask)
+        escaped |= not np.logical_or(mask, at_k, out=mask).all()
+        if escaped:
             raise AssertionError(
                 "running-run index fell outside {k-1, k} at "
                 f"grid point (k={k}, delta={delta})"
             )
-        keys = rng.random((trials, n))
-        slot_of_queried = np.zeros(trials, dtype=np.intp)
-        for j in range(1, n):
-            slot_of_queried += keys[:, j] < keys[:, 0]
-        staleness = (run_index - 1 - slot_of_queried) % n
-        last_index = run_index - 1 - staleness
-        sample = b ** (last_index + eps)
-        mean = float(np.mean(sample))
+        # The queried problem's last completed run has index
+        # l - 1 - ((l - 1 - slot) mod n).  That takes 2n values, one per
+        # (l, slot), tabled here and looked up at n [l = k] + slot.  The
+        # keys are the point's last draws, so with n = 1, where the slot
+        # is 0, they are not drawn.
+        last_index = np.array(
+            [runs - 1 - (runs - 1 - s) % n for runs in (k - 1, k) for s in range(n)],
+            dtype=float,
+        )
+        np.multiply(at_k, n, out=slot)
+        if n > 1:
+            rng.random(out=keys)
+            for j in range(1, n):
+                np.less(keys[:, j], keys[:, 0], out=mask)
+                np.add(slot, mask, out=slot)
+        np.take(last_index, slot, out=work)
+        np.add(work, eps, out=work)
+        np.power(b, work, out=work)
+        mean = float(np.mean(work))
         stderr = (
-            float(np.std(sample, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            float(np.std(work, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         )
         rows.append(dict(k=k, delta=delta, t=t, d_mean=mean, d_stderr=stderr,
                          ratio=t / mean))

@@ -1,11 +1,12 @@
-"""Sort-based Monte Carlo of the randomized schedule, the oracle for
-raysched.stochastic.mc_randomized_schedule_detail.
+"""Two oracles for raysched.stochastic.mc_randomized_schedule_detail:
+the sort-based Monte Carlo below, and E[D] in closed form
+(``exact_d_mean``).
 
-This is the estimator as it was before the queried problem's slot
-became the rank of its key: each trial's permutation is the argsort of
-its row of keys, and the slot is where problem 0 sits in it.  The draws,
-their order and every other float operation are the package's, so the
-rows must agree with the package's to the last bit.
+The Monte Carlo is the estimator as it was before the queried
+problem's slot became the rank of its key: each trial's permutation is
+the argsort of its row of keys, and the slot is where problem 0 sits in
+it.  The draws, their order and every other float operation are the
+package's, so the rows must agree with the package's to the last bit.
 """
 
 from __future__ import annotations
@@ -62,3 +63,18 @@ def mc_randomized_schedule_detail(
             }
         )
     return rows
+
+
+def exact_d_mean(n: int, b: float, k: int, delta: float) -> float:
+    """E[D] at query time t = (b^k - 1)/(b - 1) b^delta, exactly.
+
+    The running-run index is k for epsilon <= delta and k-1 otherwise,
+    and the queried problem's staleness s is uniform on {0..n-1} and
+    independent of epsilon, so D = b^(index - 1 - s + epsilon) and
+
+        E[D] = (1/n) sum_{s<n} b^-s (b^(k-1)(b^delta - 1)
+                                     + b^(k-2)(b - b^delta)) / ln b.
+    """
+    b_delta = b**delta
+    run_integral = b ** (k - 1) * (b_delta - 1.0) + b ** (k - 2) * (b - b_delta)
+    return math.fsum(b**-s for s in range(n)) * run_integral / (n * math.log(b))

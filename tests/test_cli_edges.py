@@ -55,6 +55,20 @@ def test_negative_seed_is_rejected_by_name(argv, capsys):
     assert _usage_error(argv, capsys) == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rand-sched", "--n", "2", "--b", "1.5", "--trials", str(2**50)],
+        ["claims", "--subset", "randomized-ratio", "--trials", str(2**50)],
+    ],
+    ids=["rand-sched", "claims"],
+)
+def test_unallocatable_trials_exit_2(argv, capsys):
+    """2**50 trials need 8 PiB per vector, more than the address space,
+    so the allocation fails without touching memory."""
+    assert "Unable to allocate" in _usage_error(argv, capsys)
+
+
 def test_generator_overflow_becomes_the_range_error():
     def huge(i):
         return 10.0 ** (400 * i)
