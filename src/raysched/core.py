@@ -108,6 +108,24 @@ class SearchPlan:
         return exc
 
 
+@dataclass(frozen=True)
+class CyclicDepths:
+    """The generator of a plan that visits rays 0..m-1 in turn, written
+    once as a block function: depths(lo, hi) returns the inner and outer
+    depth lists of excursions lo..hi-1, cut at the first index whose
+    depth overflows float range.  Called with one index it is the plan's
+    per-index generator; SearchTrajectory reads tagged plans by block."""
+
+    m: int
+    depths: Callable[[int, int], tuple[list, list]]
+
+    def __call__(self, i: int) -> Excursion:
+        inner, outer = self.depths(i, i + 1)
+        if not outer:
+            raise OverflowError(f"depth of excursion {i} is out of float range")
+        return Excursion(ray=i % self.m, depth_inner=inner[0], depth_outer=outer[0])
+
+
 def excursion_cost(plan: SearchPlan, exc: Excursion) -> float:
     """Distance charged for one excursion under the plan's cost model.
 
@@ -117,7 +135,11 @@ def excursion_cost(plan: SearchPlan, exc: Excursion) -> float:
     then the return to the origin from whichever end the final sweep
     left it at (outer end after an odd number of sweeps).
     """
-    inner, outer = exc.depth_inner, exc.depth_outer
+    return _cost(plan, exc.depth_inner, exc.depth_outer)
+
+
+def _cost(plan: SearchPlan, inner, outer):
+    """excursion_cost of depths that are floats or aligned arrays."""
     if plan.cost_model is CostModel.EXPANDING:
         return outer - inner
     r = plan.traversals
@@ -140,8 +162,11 @@ class SearchTrajectory:
 
     ray, inner, outer, cost and cum (the running cost, summed in walk
     order) hold one entry per excursion; next_same[k] is the next
-    excursion on k's ray, or -1.  plan.excursion is called once per
-    index.  The first index that cannot be materialized (the plan
+    excursion on k's ray, or -1.  A tagged plan whose generator is a
+    CyclicDepths is read in blocks of its depth function, with the checks
+    of Excursion and SearchPlan.excursion made on the arrays; any other
+    plan (custom, or with its generator swapped) calls plan.excursion
+    once per index.  The first index that cannot be materialized (the plan
     raises, or cum leaves float range) ends the prefix, and its error is
     raised to every caller that needs it.  hint appends advice to the
     overflow message (excursion_prefix and competitive_ratio give it,
@@ -152,42 +177,78 @@ class SearchTrajectory:
         self.plan = plan
         self.hint = hint
         self.size = 0
-        self.excursions: list[Excursion] = []
         self.ray = np.empty(0, dtype=np.intp)
         self.next_same = np.empty(0, dtype=np.intp)
         self.inner, self.outer, self.cost, self.cum = (np.empty(0) for _ in range(4))
         self._last = [-1] * plan.ray_count
         self._error: Optional[Exception] = None
+        self._cyclic = isinstance(plan.generator, CyclicDepths) and plan.tag.kind != "custom"
 
-    def reach(self, count: int) -> None:
+    def reach(self, count: int, bound: int = 0) -> None:
         """Materialize the first count excursions, or raise the error of
-        the first one that cannot be."""
+        the first one that cannot be.  A block read runs ahead up to
+        twice the size, but not past bound, the furthest count the
+        caller may ask for; an error past count waits for a caller that
+        needs it."""
         while self.size < count:
             if self._error is not None:
                 raise self._error
-            i = self.size
+            lo = self.size
+            if not self._cyclic:
+                self._fill(lo, *self._excursions(lo, count))
+                continue
+            hi = max(count, min(2 * lo, bound))
+            inner, outer = self.plan.generator.depths(lo, hi)
+            inner, outer = np.array(inner, dtype=float), np.array(outer, dtype=float)
+            ray = np.arange(lo, lo + len(outer)) % self.plan.generator.m
+            ok = (0 <= inner) & (inner < outer) & (ray < self.plan.ray_count)
+            n = len(ok) if ok.all() else int(ok.argmin())
+            self._fill(lo, ray[:n], inner[:n], outer[:n], None)
+            if self.size == lo + n < hi:  # cut or rejected: plan.excursion's error
+                self._error = self._excursions(lo + n, lo + n + 1)[3]
+
+    def _excursions(self, lo: int, hi: int) -> tuple:
+        """Columns of excursions lo..hi-1 by plan.excursion, cut at the
+        first that raises, and its error."""
+        rays, inner, outer = [], [], []
+        for i in range(lo, hi):
             try:
                 exc = self.plan.excursion(i)
-                c = excursion_cost(self.plan, exc)
-                cum = (float(self.cum[i - 1]) if i else 0.0) + c
-                if not math.isfinite(cum):
-                    advice = "; reduce the horizon or the growth base"
-                    raise ValueError(f"cumulative cost overflowed at excursion {i}"
-                                     + (advice if self.hint else ""))
             except Exception as err:
-                self._error = err
-                raise
-            if i == len(self.ray):
-                for name in ("ray", "next_same", "inner", "outer", "cost", "cum"):
-                    setattr(self, name, np.resize(getattr(self, name), 2 * i + 64))
-            self.ray[i], self.next_same[i] = exc.ray, -1
-            self.inner[i], self.outer[i] = exc.depth_inner, exc.depth_outer
-            self.cost[i], self.cum[i] = c, cum
-            if self._last[exc.ray] >= 0:
-                self.next_same[self._last[exc.ray]] = i
-            self._last[exc.ray] = i
-            self.excursions.append(exc)
-            self.size = i + 1
+                return rays, inner, outer, err
+            rays.append(exc.ray)
+            inner.append(exc.depth_inner)
+            outer.append(exc.depth_outer)
+        return rays, inner, outer, None
+
+    def _fill(self, lo: int, ray, inner, outer, error: Optional[Exception]) -> None:
+        """Append valid excursions lo.. with cost and cum, in the scalar
+        chain's operand order; error is the failure just past them."""
+        inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = _cost(self.plan, inner, outer)
+            cum = np.add.accumulate(np.concatenate(([self.cum[lo - 1] if lo else 0.0],
+                                                    cost)))[1:]
+        finite = np.isfinite(cum)
+        n = len(finite) if finite.all() else int(finite.argmin())
+        if n < len(finite):
+            advice = "; reduce the horizon or the growth base"
+            error = ValueError(f"cumulative cost overflowed at excursion {lo + n}"
+                               + (advice if self.hint else ""))
+        end = lo + n
+        if end > len(self.ray):
+            for name in ("ray", "next_same", "inner", "outer", "cost", "cum"):
+                setattr(self, name, np.resize(getattr(self, name), 2 * end + 64))
+        for column, values in ((self.ray, ray), (self.inner, inner), (self.outer, outer),
+                               (self.cost, cost), (self.cum, cum)):
+            column[lo:end] = values[:n]
+        self.next_same[lo:end] = -1
+        for k, r in enumerate(self.ray[lo:end].tolist(), lo):
+            if self._last[r] >= 0:
+                self.next_same[self._last[r]] = k
+            self._last[r] = k
+        self.size = end
+        self._error = error
 
 
 def excursion_prefix(plan: SearchPlan, count: int) -> list[ExcursionStep]:
@@ -197,16 +258,10 @@ def excursion_prefix(plan: SearchPlan, count: int) -> list[ExcursionStep]:
     happens when excursion depths overflow float range; callers should
     shrink the horizon or the base rather than trust infinities.
     """
-    trajectory = SearchTrajectory(plan, hint=True)
-    trajectory.reach(count)
-    return [
-        ExcursionStep(excursion=exc, cost=c, cumulative_cost=cum)
-        for exc, c, cum in zip(
-            trajectory.excursions,
-            trajectory.cost[:count].tolist(),
-            trajectory.cum[:count].tolist(),
-        )
-    ]
+    t = SearchTrajectory(plan, hint=True)
+    t.reach(count)
+    rows = zip(*(c[:max(count, 0)].tolist() for c in (t.ray, t.inner, t.outer, t.cost, t.cum)))
+    return [ExcursionStep(Excursion(r, a, b), c, s) for r, a, b, c, s in rows]
 
 
 @dataclass(frozen=True)

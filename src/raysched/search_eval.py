@@ -121,7 +121,7 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
         cand, k = cand[alive], k[alive]
         nxt = trajectory.next_same[k]
         while grow and (nxt < 0).any() and trajectory.size < count + _STREAM_EXCURSIONS:
-            trajectory.reach(trajectory.size + 1)
+            trajectory.reach(trajectory.size + 1, count + _STREAM_EXCURSIONS)
             nxt = trajectory.next_same[k]
         keep = nxt >= 0
         if grow:
@@ -156,7 +156,7 @@ def visit_cost_stream(
         raise ValueError(f"target distance must be > 0, got {point}")
     trajectory = SearchTrajectory(plan)
     for k in range(start, start + max_excursions):
-        trajectory.reach(k + 1)
+        trajectory.reach(k + 1, start + max_excursions)
         if trajectory.ray[k] == ray:
             for hit, cost in _passes(plan, trajectory, k, point, beyond=beyond,
                                      outward_only=outward_only):

@@ -62,7 +62,10 @@ def _unbounded_reason(plan: SearchPlan, p: float) -> Optional[str]:
     """
     tag = plan.tag
     if tag.kind in ("exponential", "nm") and tag.base is not None:
-        lam = tag.base ** plan.ray_count * (1.0 - p)
+        try:
+            lam = tag.base ** plan.ray_count * (1.0 - p)
+        except OverflowError:  # b^m past float range counts as b = inf
+            lam = math.inf * (1.0 - p)
         if lam >= 1.0:
             return (
                 f"expected cost diverges: growth factor per miss "

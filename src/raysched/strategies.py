@@ -12,12 +12,24 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CostModel, Excursion, PlanTag, SchedulePlan, SearchPlan
+from .core import CostModel, CyclicDepths, Excursion, PlanTag, SchedulePlan, SearchPlan
 
 
 def _require_base(b: float) -> None:
     if not b > 1:
         raise ValueError(f"growth base must be > 1, got {b}")
+
+
+def _powers(b: float, lo: int, hi: int) -> list[float]:
+    """b**i for i in lo..hi-1 by float power (np.power can differ in the
+    last bit), cut at the first power that overflows float range."""
+    powers = []
+    try:
+        for i in range(lo, hi):
+            powers.append(b ** i)
+    except OverflowError:
+        pass
+    return powers
 
 
 def make_exponential_search(m: int, b: float) -> SearchPlan:
@@ -31,12 +43,13 @@ def make_exponential_search(m: int, b: float) -> SearchPlan:
         raise ValueError(f"need at least 2 rays, got {m}")
     _require_base(b)
 
-    def gen(i: int) -> Excursion:
-        return Excursion(ray=i % m, depth_inner=0.0, depth_outer=float(b) ** i)
+    def depths(lo: int, hi: int) -> tuple[list, list]:
+        outer = _powers(float(b), lo, hi)
+        return [0.0] * len(outer), outer
 
     return SearchPlan(
         ray_count=m,
-        generator=gen,
+        generator=CyclicDepths(m, depths),
         cost_model=CostModel.STANDARD,
         tag=PlanTag(kind="exponential", base=float(b)),
     )
@@ -65,13 +78,14 @@ def make_nm_search(m: int, b: float, r: int) -> SearchPlan:
     if r < 1:
         raise ValueError(f"sweep count must be >= 1, got {r}")
 
-    def gen(i: int) -> Excursion:
-        inner = float(b) ** (i - m) if i >= m else 0.0
-        return Excursion(ray=i % m, depth_inner=inner, depth_outer=float(b) ** i)
+    def depths(lo: int, hi: int) -> tuple[list, list]:
+        outer = _powers(float(b), lo, hi)
+        inner = [float(b) ** (i - m) if i >= m else 0.0 for i in range(lo, lo + len(outer))]
+        return inner, outer
 
     return SearchPlan(
         ray_count=m,
-        generator=gen,
+        generator=CyclicDepths(m, depths),
         cost_model=CostModel.STANDARD,
         tag=PlanTag(kind="nm", base=float(b), redundancy=r),
         traversals=r,
@@ -89,15 +103,16 @@ def make_geometric_search(m: int, b: float) -> SearchPlan:
         raise ValueError(f"need at least 2 rays, got {m}")
     _require_base(b)
 
-    def gen(i: int) -> Excursion:
-        p = i // m
-        inner = (float(b) ** p - 1.0) / (b - 1.0)
-        outer = (float(b) ** (p + 1) - 1.0) / (b - 1.0)
-        return Excursion(ray=i % m, depth_inner=inner, depth_outer=outer)
+    def depths(lo: int, hi: int) -> tuple[list, list]:
+        # The frontiers of phases lo // m .. (hi - 1) // m + 1.
+        first = lo // m
+        levels = [(x - 1.0) / (b - 1.0) for x in _powers(float(b), first, (hi - 1) // m + 2)]
+        phases = [i // m - first for i in range(lo, min(hi, (first + len(levels) - 1) * m))]
+        return [levels[p] for p in phases], [levels[p + 1] for p in phases]
 
     return SearchPlan(
         ray_count=m,
-        generator=gen,
+        generator=CyclicDepths(m, depths),
         cost_model=CostModel.EXPANDING,
         tag=PlanTag(kind="geometric", base=float(b)),
     )

@@ -114,6 +114,8 @@ def competitive_sweep(plan: SearchPlan, r: int, horizon: int):
         found = next((c for n, c in enumerate(passes, 1) if n == r), None)
         if found is not None and found / point > best:
             best, witness = found / point, (j, exc.ray, point)
+    if witness is None:  # no candidate passed: the sweep reports inf
+        return math.inf, None
     return best, witness
 
 

@@ -10,7 +10,12 @@ from raysched.core import CostModel, Excursion, SchedulePlan, SearchPlan
 from raysched.numopt import closed_form
 from raysched.sched_eval import contract_bound, preemption_bound
 from raysched.search_eval import turn_bound
-from raysched.stochastic import beta_r_closed_form
+from raysched.stochastic import (
+    DetectionModel,
+    beta_r_closed_form,
+    probabilistic_competitive_ratio,
+)
+from raysched.strategies import make_exponential_search
 
 
 def _usage_error(argv, capsys):
@@ -34,6 +39,27 @@ def _usage_error(argv, capsys):
 )
 def test_float_range_overflow_exits_2(argv, capsys):
     assert "overflow" in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob-search", "--m", "2", "--p", "0.3", "--b", "inf"],
+        ["prob-search", "--m", "2", "--p", "0.3", "--b", "1e200"],
+    ],
+    ids=["prob-search-inf", "prob-search-1e200"],
+)
+def test_divergent_growth_exits_0_with_an_inf_row(argv, capsys):
+    """b^m(1-p) >= 1 diverges also where b^m itself overflows."""
+    assert console_main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["finite_sup"] == "inf"
+    report = probabilistic_competitive_ratio(
+        make_exponential_search(2, float(argv[-1])), DetectionModel(0.3)
+    )
+    assert report.note.startswith("expected cost diverges: growth factor per miss")
 
 
 @pytest.mark.parametrize("command", ["rand-sched", "search-eval", "sched-eval"])

@@ -24,12 +24,29 @@ from raysched.stochastic import (
 from raysched.strategies import make_exponential_search
 
 
+def _jittered_plan(m, pattern, growth, cost_model, traversals):
+    """Excursion i runs on the ray of pattern slot i mod period, out to
+    growth**i times the slot's scale, from the slot's fraction of that;
+    under EXPANDING every other period starts from 0, because a covered
+    point is otherwise never passed again."""
+    period = len(pattern)
+    expanding = cost_model is CostModel.EXPANDING
+
+    def generator(i):
+        ray, scale, inner = pattern[i % period]
+        outer = growth**i * scale
+        if expanding and (i // period) % 2 == 1:
+            inner = 0.0
+        return Excursion(ray=ray, depth_inner=inner * outer, depth_outer=outer)
+
+    return SearchPlan(ray_count=m, generator=generator, cost_model=cost_model,
+                      traversals=traversals)
+
+
 @st.composite
 def custom_plans(draw):
-    """A periodic ray order with jittered exponential depths.  Inner
-    depths are a drawn fraction of the outer one; under EXPANDING they
-    are 0 in every other period, because a covered point is otherwise
-    never passed again."""
+    """A periodic ray order with jittered exponential depths (see
+    _jittered_plan)."""
     m = draw(st.integers(min_value=2, max_value=4))
     period = draw(st.integers(min_value=1, max_value=8))
     slots = st.lists(
@@ -44,24 +61,33 @@ def custom_plans(draw):
     pattern = draw(slots)
     growth = draw(st.floats(min_value=1.1, max_value=2.0))
     cost_model = draw(st.sampled_from(list(CostModel)))
-    expanding = cost_model is CostModel.EXPANDING
+    traversals = draw(st.integers(min_value=1, max_value=3))
+    return _jittered_plan(m, pattern, growth, cost_model, traversals)
 
-    def generator(i):
-        ray, scale, inner = pattern[i % period]
-        outer = growth**i * scale
-        if expanding and (i // period) % 2 == 1:
-            inner = 0.0
-        return Excursion(ray=ray, depth_inner=inner * outer, depth_outer=outer)
 
-    return SearchPlan(
-        ray_count=m,
-        generator=generator,
-        cost_model=cost_model,
-        traversals=draw(st.integers(min_value=1, max_value=3)),
-    )
+def _outcome(call):
+    """What a sweep returns, or its error message: an overflow at the
+    same excursion is the same outcome."""
+    try:
+        return call()
+    except ValueError as err:
+        return f"error: {err}"
+
+
+# Later excursions on each ray stay below the first frontier there, so
+# no candidate is ever passed.
+_UNPASSED = _jittered_plan(
+    2, [(0, 2.0, 0.0), (1, 2.0, 0.0)] + [(0, 0.5, 0.0), (1, 0.5, 0.0)] * 2, 1.1,
+    CostModel.STANDARD, 1,
+)
+# Ray 1 gets one excursion in 8 and is passed again only every other
+# period, so the series at p = 0.3125 runs past float range.
+_SPARSE_RAY = _jittered_plan(2, [(1, 1.0, 0.5)] + [(0, 1.0, 0.5)] * 7, 2.0,
+                             CostModel.EXPANDING, 1)
 
 
 @settings(max_examples=60, deadline=None)
+@example(plan=_UNPASSED, r=1, extra=0)
 @given(plan=custom_plans(), r=st.integers(min_value=1, max_value=3),
        extra=st.integers(min_value=0, max_value=40))
 def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
@@ -73,6 +99,7 @@ def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
 
 
 @settings(max_examples=60, deadline=None)
+@example(plan=_SPARSE_RAY, p=0.3125, outward_only=False, extra=2)
 @given(
     plan=custom_plans(),
     p=st.floats(min_value=0.3, max_value=1.0),
@@ -82,9 +109,14 @@ def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
 def test_probabilistic_sweep_equals_the_scalar_walk(plan, p, outward_only, extra):
     horizon = plan.ray_count + extra
     rule = DirectionRule.OUTWARD_ONLY if outward_only else DirectionRule.BOTH_DIRECTIONS
-    report = probabilistic_competitive_ratio(plan, DetectionModel(p, rule), horizon)
-    sup, witness, _ = ref.probabilistic_sweep(plan, p, outward_only, horizon)
-    assert (report.finite_sup, report.witness) == (sup, witness)
+
+    def sweep():
+        report = probabilistic_competitive_ratio(plan, DetectionModel(p, rule), horizon)
+        return report.finite_sup, report.witness
+
+    assert _outcome(sweep) == _outcome(
+        lambda: ref.probabilistic_sweep(plan, p, outward_only, horizon)[:2]
+    )
 
 
 def _resweep_plan():
