@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .core import ClaimCheck, Relation, check_claim
+from .core import ClaimCheck, Relation, ScheduleTrajectory, check_claim
 from .numopt import beta_r_star, closed_form, figure1_curve, scan_golden_min
 from .search_eval import (
     FIRST_VISIT,
@@ -202,16 +202,14 @@ def _rr_tail_ratio(n: int, b: float, phases: int) -> float:
     """Measured query ratio at the end of a late round-robin phase:
     query after the phase's last finish, crediting strictly earlier
     completed allotments only."""
-    plan = make_geometric_rr_schedule(n, b)
     count = n * (phases + 1)
+    trajectory = ScheduleTrajectory(make_geometric_rr_schedule(n, b))
+    trajectory.reach(count)
     credit = [0.0] * n
-    t = 0.0
-    for i in range(count):
-        problem, length = plan.job_spec(i)
-        if i < count - 1:
-            credit[problem] += length
-        t += length
-    return t / min(credit)
+    for problem, length in zip(trajectory.problem[:count - 1].tolist(),
+                               trajectory.length[:count - 1].tolist()):
+        credit[problem] += length
+    return float(trajectory.finish[count - 1]) / min(credit)
 
 
 def _expanding_tail_ratio(m: int, b: float, phase: int) -> float:

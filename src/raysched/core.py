@@ -278,12 +278,15 @@ class Job:
             raise ValueError(f"problem index must be >= 0, got {self.problem}")
         if self.length <= 0:
             raise ValueError(f"length must be > 0, got {self.length}")
-        if not math.isclose(
-            self.finish - self.start, self.length, rel_tol=1e-12, abs_tol=1e-12
-        ):
+        Job.check_span(self.start, self.finish, self.length)
+
+    @staticmethod
+    def check_span(start: float, finish: float, length: float) -> None:
+        """Raise unless finish - start is length to within 1e-12; it is
+        not where the clock absorbs or rounds away part of the length."""
+        if not math.isclose(finish - start, length, rel_tol=1e-12, abs_tol=1e-12):
             raise ValueError(
-                f"finish - start = {self.finish - self.start} "
-                f"does not match length {self.length}"
+                f"finish - start = {finish - start} does not match length {length}"
             )
 
 
@@ -326,6 +329,94 @@ class SchedulePlan:
         return problem, length
 
 
+class ScheduleTrajectory:
+    """A schedule plan's job prefix as columns, grown on demand.
+
+    problem, length and finish (the running clock, summed in schedule
+    order; job k starts at finish[k - 1], job 0 at 0) hold one entry per
+    job.  A tagged plan whose generator carries a block function (its
+    jobs attribute, set by the factories) is read by block, with the
+    checks of SchedulePlan.job_spec made on the arrays; any other plan
+    (custom, or with its generator swapped) calls plan.job_spec once per
+    index.  Blocks at least double the prefix.  The first job that fails
+    job_spec, overflows the clock or breaks Job's finish - start ==
+    length rule ends the prefix, and its error is raised to every caller
+    that needs it.
+    """
+
+    def __init__(self, plan: SchedulePlan) -> None:
+        self.plan = plan
+        self.size = 0
+        self.problem = np.empty(0, dtype=np.intp)
+        self.length, self.finish = np.empty(0), np.empty(0)
+        self._error: Optional[Exception] = None
+        self._block = (None if plan.tag.kind == "custom"
+                       else getattr(plan.generator, "jobs", None))
+
+    def reach(self, count: int) -> None:
+        """Materialize the first count jobs, or raise the error of the
+        first one that cannot be."""
+        while self.size < count:
+            if self._error is not None:
+                raise self._error
+            lo = self.size
+            hi = min(count, max(2 * lo, 256))
+            if self._block is None:
+                self._fill(lo, *self._specs(lo, hi))
+                continue
+            problem, length = self._block(lo, hi)
+            ok = (problem < self.plan.problem_count) & (length > 0)
+            n = len(ok) if ok.all() else int(ok.argmin())
+            self._fill(lo, problem[:n], length[:n], None)
+            if self.size == lo + n < hi:  # cut or rejected: job_spec's error
+                self._error = self._specs(lo + n, lo + n + 1)[2]
+
+    def _specs(self, lo: int, hi: int) -> tuple:
+        """Problems and lengths of jobs lo..hi-1 by plan.job_spec, cut at
+        the first that raises, and its error."""
+        problems, lengths = [], []
+        for i in range(lo, hi):
+            try:
+                problem, length = self.plan.job_spec(i)
+                0.0 + length  # clock + length raises here on a length no float holds
+            except Exception as err:
+                return problems, lengths, err
+            problems.append(problem)
+            lengths.append(length)
+        return problems, lengths, None
+
+    def _fill(self, lo: int, problem, length, error: Optional[Exception]) -> None:
+        """Append valid jobs lo.. with their finish times, cut at the first
+        whose finish overflows or breaks Job.check_span; error is the
+        failure just past them.  The columns pass every job math.isclose
+        passes (its CPython formula) and the scalar check decides the rest."""
+        values = np.asarray(length, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            clock = np.add.accumulate(np.concatenate(
+                ([self.finish[lo - 1] if lo else 0.0], values)))
+            span = clock[1:] - clock[:-1]
+            gap = np.abs(values - span)
+            ok = np.isfinite(clock[1:]) & (
+                (span == values) | (gap <= np.abs(1e-12 * values))
+                | (gap <= np.abs(1e-12 * span)) | (gap <= 1e-12))
+        n = len(ok)
+        for k in np.flatnonzero(~ok).tolist():
+            if not math.isfinite(clock[k + 1]):
+                n, error = k, ValueError(f"schedule clock overflowed at job {lo + k}")
+                break
+            try:
+                Job.check_span(float(clock[k]), float(clock[k + 1]),
+                               length[k] if isinstance(length, list) else float(values[k]))
+            except ValueError as err:
+                n, error = k, err
+                break
+        self.problem = np.concatenate((self.problem, np.asarray(problem[:n], dtype=np.intp)))
+        self.length = np.concatenate((self.length, values[:n]))
+        self.finish = np.concatenate((self.finish, clock[1:n + 1]))
+        self.size = lo + n
+        self._error = error
+
+
 def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
     """All jobs that start strictly before horizon, in schedule order.
 
@@ -350,6 +441,8 @@ def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
             jobs.append(Job(problem=problem, length=cut, start=t, finish=horizon))
         else:
             jobs.append(Job(problem=problem, length=length, start=t, finish=finish))
+        if finish == t:  # a length under Job's absolute tolerance, absorbed
+            raise ValueError(f"schedule clock stopped advancing at job {i}")
         t = finish
         i += 1
     return jobs

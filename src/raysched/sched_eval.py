@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import DEFAULT_HORIZON, Job, RatioReport, SchedulePlan
+import numpy as np
+
+from .core import DEFAULT_HORIZON, Job, RatioReport, SchedulePlan, ScheduleTrajectory
 from .numopt import contract_bound, preemption_bound  # noqa: F401  (re-exported)
 
 
@@ -112,6 +114,15 @@ class _ProblemState:
         return self.sorted_lengths[-semantics.r]
 
 
+def _check_advance(start: float, finish: float, length: float, i: int) -> None:
+    """A walk to a time stops at job i if its clock absorbs the length:
+    Job's span rule, then a plain stall for lengths under its 1e-12
+    absolute tolerance."""
+    Job.check_span(start, finish, length)
+    if finish == start:
+        raise ValueError(f"schedule clock stopped advancing at job {i}")
+
+
 def ell(
     plan: SchedulePlan,
     problem: int,
@@ -142,11 +153,31 @@ def ell(
             if p == problem and semantics.kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
                 partial = t - clock
             break
-        clock = finish
-        i += 1
+        start, clock = clock, finish
         if not math.isfinite(clock):
             raise ValueError("schedule clock overflowed before query time")
+        _check_advance(start, clock, length, i)
+        i += 1
     return state.credit(semantics) + partial
+
+
+# Semantics whose per-problem credit is a running reduction of the
+# problem's lengths, scanned on the trajectory's columns; the rank-based
+# ones walk _jobs with a _ProblemState per problem.
+_SCANNED = {
+    SemanticsKind.LONGEST_COMPLETED: np.maximum.accumulate,
+    SemanticsKind.AGGREGATE_INTERRUPTIBLE: np.add.accumulate,
+}
+
+
+def _scanned_credit(problem: np.ndarray, length: np.ndarray, n: int,
+                    kind: SemanticsKind) -> np.ndarray:
+    """The least problem credit just before each job: each job's length
+    sits in its problem's column of a (jobs + 1) x n table, the scan runs
+    down the rows in job order, and job j reads row j."""
+    table = np.zeros((len(problem) + 1, n))
+    table[np.arange(1, len(problem) + 1), problem] = length
+    return _SCANNED[kind](table, axis=0)[:-1].min(axis=1)
 
 
 def acceleration_ratio(
@@ -167,40 +198,42 @@ def acceleration_ratio(
     n = plan.problem_count
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    jobs = _jobs(plan, horizon)
-    states = [_ProblemState() for _ in range(n)]
-    seq: list[float] = []
-    best = -math.inf
-    witness: Optional[float] = None
-    skipped = 0
-    for job in jobs:
-        t = job.finish
-        credit = min(states[p].credit(semantics) for p in range(n))
-        if credit <= 0.0:
-            skipped += 1
-        else:
-            ratio = t / credit
-            seq.append(ratio)
-            if ratio > best:
-                best = ratio
-                witness = t
-        states[job.problem].add(job.length)
-    if witness is None:
+    if semantics.kind in _SCANNED:
+        trajectory = ScheduleTrajectory(plan)
+        trajectory.reach(horizon)
+        finish = trajectory.finish[:horizon]
+        credit = _scanned_credit(trajectory.problem[:horizon],
+                                 trajectory.length[:horizon], n, semantics.kind)
+    else:
+        jobs = _jobs(plan, horizon)
+        states = [_ProblemState() for _ in range(n)]
+        credits: list[float] = []
+        for job in jobs:
+            credits.append(min(states[p].credit(semantics) for p in range(n)))
+            states[job.problem].add(job.length)
+        finish = np.array([job.finish for job in jobs])
+        credit = np.array(credits, dtype=float)
+    scored = credit > 0.0
+    skipped = len(credit) - int(np.count_nonzero(scored))
+    with np.errstate(over="ignore"):
+        seq = finish[scored] / credit[scored]
+    if not len(seq):
         return RatioReport(
             finite_sup=math.inf,
             witness=None,
             horizon=horizon,
             note="some problem never accumulates credit within the horizon",
         )
+    worst = int(seq.argmax())  # the first, as a strict > sweep keeps it
+    best, witness = float(seq[worst]), float(finish[scored][worst])
     limit_sup, asymptotic = analytic_schedule_limits(plan, semantics)
     convergence_gap: Optional[float] = None
     if limit_sup is None:
-        quartile = seq[-max(1, len(seq) // 4):]
-        asymptotic = max(quartile)
-        convergence_gap = abs(seq[-1] - seq[len(seq) // 2])
+        asymptotic = float(seq[-max(1, len(seq) // 4):].max())
+        convergence_gap = abs(float(seq[-1]) - float(seq[len(seq) // 2]))
     else:
         reference = asymptotic if asymptotic is not None else limit_sup
-        convergence_gap = abs(reference - max(seq[-min(len(seq), n):]))
+        convergence_gap = abs(reference - float(seq[-min(len(seq), n):].max()))
     note = None
     if skipped:
         note = (
@@ -265,9 +298,10 @@ def contract_count(plan: SchedulePlan, t: float) -> int:
     while clock < t:
         _, length = plan.job_spec(count)
         count += 1
-        clock += length
+        start, clock = clock, clock + length
         if not math.isfinite(clock):
             raise ValueError("schedule clock overflowed before time t")
+        _check_advance(start, clock, length, count - 1)
     return count
 
 

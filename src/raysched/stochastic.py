@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import DEFAULT_HORIZON, McEstimate, RatioReport, SchedulePlan, SearchPlan
-from .core import SearchTrajectory
+from .core import ScheduleTrajectory, SearchTrajectory
 from .numopt import beta_r_closed_form, lemma_root
 from .sched_eval import analytic_schedule_limits, longest_completed
 from .search_eval import frontier_passes, visit_cost_stream
@@ -242,17 +242,15 @@ def expected_acc_ratio_mc_contracts(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     plan = make_exponential_schedule(n, b)
+    trajectory = ScheduleTrajectory(plan)
+    trajectory.reach(horizon)
     q = 1.0 - p
     expected_credit = [0.0] * n
     completions = [0] * n
-    clock = 0.0
     best = -math.inf
     witness = None
-    for i in range(horizon):
-        problem, length = plan.job_spec(i)
-        t = clock + length
-        if not math.isfinite(t):
-            raise ValueError(f"schedule clock overflowed at job {i}")
+    for problem, length, t in zip(*(column[:horizon].tolist() for column in (
+            trajectory.problem, trajectory.length, trajectory.finish))):
         if all(completions):
             credit = min(expected_credit)
             ratio = t / credit
@@ -263,7 +261,6 @@ def expected_acc_ratio_mc_contracts(
         # problem's largest and the credit series updates in one step.
         expected_credit[problem] = p * length + q * expected_credit[problem]
         completions[problem] += 1
-        clock = t
     if witness is None:
         return RatioReport(
             finite_sup=math.inf,

@@ -118,6 +118,32 @@ def make_geometric_search(m: int, b: float) -> SearchPlan:
     )
 
 
+def _phased_jobs(n: int, b: float, turn: int, hold: int) -> Callable[[int], tuple[int, float]]:
+    """The generator of a schedule whose job i runs problem (i // turn) % n
+    for b ** (i // hold) time units.  Its jobs attribute is the same
+    formula for a block: jobs(lo, hi) returns the problem and length
+    columns of jobs lo..hi-1, cut at the first length that overflows
+    float range; ScheduleTrajectory reads tagged plans through it."""
+    fb = float(b)
+    if turn == hold == 1:  # the exponential schedule, spared two divisions by 1
+
+        def gen(i: int) -> tuple[int, float]:
+            return i % n, fb ** i
+    else:
+
+        def gen(i: int) -> tuple[int, float]:
+            return (i // turn) % n, fb ** (i // hold)
+
+    def jobs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        first = lo // hold
+        lengths = np.array(_powers(fb, first, (hi - 1) // hold + 1))
+        index = np.arange(lo, min(hi, (first + len(lengths)) * hold))
+        return index // turn % n, lengths[index // hold - first]
+
+    gen.jobs = jobs  # type: ignore[attr-defined]
+    return gen
+
+
 def make_exponential_schedule(n: int, b: float) -> SchedulePlan:
     """Round-robin schedule with lengths b^i: job i runs problem
     i mod n for b^i time units."""
@@ -125,12 +151,9 @@ def make_exponential_schedule(n: int, b: float) -> SchedulePlan:
         raise ValueError(f"need at least 1 problem, got {n}")
     _require_base(b)
 
-    def gen(i: int) -> tuple[int, float]:
-        return i % n, float(b) ** i
-
     return SchedulePlan(
         problem_count=n,
-        generator=gen,
+        generator=_phased_jobs(n, b, 1, 1),
         interruptible=False,
         tag=PlanTag(kind="exponential", base=float(b)),
     )
@@ -157,13 +180,9 @@ def make_pseudo_exponential_schedule(n: int, b: float, r: int) -> SchedulePlan:
     if r < 1:
         raise ValueError(f"repeat count must be >= 1, got {r}")
 
-    def gen(i: int) -> tuple[int, float]:
-        phase = i // r
-        return phase % n, float(b) ** phase
-
     return SchedulePlan(
         problem_count=n,
-        generator=gen,
+        generator=_phased_jobs(n, b, r, r),
         interruptible=False,
         tag=PlanTag(kind="pseudo", base=float(b), redundancy=r),
     )
@@ -176,13 +195,9 @@ def make_geometric_rr_schedule(n: int, b: float) -> SchedulePlan:
         raise ValueError(f"need at least 1 problem, got {n}")
     _require_base(b)
 
-    def gen(i: int) -> tuple[int, float]:
-        phase = i // n
-        return i % n, float(b) ** phase
-
     return SchedulePlan(
         problem_count=n,
-        generator=gen,
+        generator=_phased_jobs(n, b, 1, n),
         interruptible=True,
         tag=PlanTag(kind="geometric-rr", base=float(b)),
     )

@@ -1,0 +1,147 @@
+"""ScheduleTrajectory: factory plans are read in blocks of their job
+formula, every other plan calls job_spec once per index.  Both paths give
+the same columns to the last bit and the same first error; blocks stop
+at the first failing job; the column span check decides as
+Job.check_span does; and the factories' per-index generators stay as
+fast as the closures they replaced.
+"""
+
+import dataclasses
+import math
+import timeit
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from raysched.core import SchedulePlan, ScheduleTrajectory
+from raysched.sched_eval import (
+    acceleration_ratio,
+    aggregate_interruptible,
+    longest_completed,
+)
+from raysched.stochastic import expected_acc_ratio_mc_contracts
+from raysched.strategies import (
+    make_exponential_schedule,
+    make_geometric_rr_schedule,
+    make_pseudo_exponential_schedule,
+)
+from test_sched_sweep import BLOCK_FAMILIES, custom_plan, factory_plans, per_index_twin
+
+
+def _reach(trajectory, count):
+    try:
+        trajectory.reach(count)
+    except Exception as err:
+        return type(err), str(err), trajectory.size
+    return trajectory.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=factory_plans(BLOCK_FAMILIES), count=st.integers(1, 400), fewer=st.booleans())
+def test_block_columns_equal_the_per_index_columns(drawn, count, fewer):
+    _, plan = drawn
+    if fewer and plan.problem_count > 1:  # jobs of the last problem are out of range
+        plan = dataclasses.replace(plan, problem_count=plan.problem_count - 1)
+    block, per_index = ScheduleTrajectory(plan), ScheduleTrajectory(per_index_twin(plan))
+    assert block._block is not None and per_index._block is None
+    assert _reach(block, count) == _reach(per_index, count)
+    for name in ("problem", "length", "finish"):
+        assert getattr(block, name).tobytes() == getattr(per_index, name).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.one_of(st.floats(1e-15, 1e6), st.sampled_from((1, 3))),
+       scale=st.floats(1e2, 1e6))
+def test_span_check_on_columns_is_math_isclose(length, scale):
+    """Near the relative tolerance the clock's rounding decides; the
+    column rule must decide as Job.check_span does."""
+    start = float(length) * scale
+    trajectory = ScheduleTrajectory(custom_plan(1, [(0, start), (0, length)]))
+    finish = start + length
+    if math.isclose(finish - start, length, rel_tol=1e-12, abs_tol=1e-12):
+        trajectory.reach(2)
+        assert trajectory.finish.tolist() == [start, finish]
+    else:
+        with pytest.raises(ValueError) as info:
+            trajectory.reach(2)
+        assert str(info.value) == (
+            f"finish - start = {finish - start} does not match length {length}")
+
+
+def _count_job_spec_calls(monkeypatch):
+    calls = []
+    original = SchedulePlan.job_spec
+
+    def counted(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(SchedulePlan, "job_spec", counted)
+    return calls
+
+
+def test_factory_plans_are_read_without_job_spec(monkeypatch):
+    calls = _count_job_spec_calls(monkeypatch)
+    acceleration_ratio(make_exponential_schedule(4, 1.2), longest_completed(), 3000)
+    acceleration_ratio(make_pseudo_exponential_schedule(2, 1.5, 3), longest_completed(), 600)
+    acceleration_ratio(make_geometric_rr_schedule(3, 2.0), aggregate_interruptible(), 900)
+    expected_acc_ratio_mc_contracts(2, 0.5, 1.5, 1000)
+    assert calls == []
+    # A length past float range is job_spec's error, read at that index only.
+    with pytest.raises(ValueError, match="^job 4 length overflowed float range"):
+        ScheduleTrajectory(make_exponential_schedule(2, 1e100)).reach(10)
+    assert calls == [4]
+
+
+def test_blocks_stop_at_the_first_failing_job(monkeypatch):
+    """Blocks at least double, so a failure at job k is found after at
+    most about 2k jobs, never after reading the whole count."""
+    calls = _count_job_spec_calls(monkeypatch)
+    tagged = ScheduleTrajectory(make_exponential_schedule(2, 1.5))
+    with pytest.raises(ValueError, match="^schedule clock overflowed at job 1748$"):
+        tagged.reach(10**12)
+    assert tagged.size == len(tagged.finish) == 1748
+    custom = ScheduleTrajectory(custom_plan(2, [(0, 1e308), (1, 1e308)]))
+    with pytest.raises(ValueError, match="^schedule clock overflowed at job 1$"):
+        custom.reach(10**12)
+    assert custom.size == 1 and len(calls) <= 256
+    with pytest.raises(ValueError, match="^schedule clock overflowed at job 1$"):
+        custom.reach(5)  # the error stays for every later caller
+
+
+# The per-index generators of the three factories before they gained a
+# block function; the factories' generators must not be slower.
+def _closure_exponential(n, b):
+    def gen(i):
+        return i % n, float(b) ** i
+    return gen
+
+
+def _closure_pseudo(n, b, r):
+    def gen(i):
+        phase = i // r
+        return phase % n, float(b) ** phase
+    return gen
+
+
+def _closure_rr(n, b):
+    def gen(i):
+        phase = i // n
+        return i % n, float(b) ** phase
+    return gen
+
+
+@pytest.mark.parametrize("factory,closure", [
+    (make_exponential_schedule(3, 1.7), _closure_exponential(3, 1.7)),
+    (make_pseudo_exponential_schedule(3, 1.7, 2), _closure_pseudo(3, 1.7, 2)),
+    (make_geometric_rr_schedule(3, 1.7), _closure_rr(3, 1.7)),
+], ids=BLOCK_FAMILIES)
+def test_factory_generator_per_index_is_no_slower_than_a_closure(factory, closure):
+    gen = factory.generator
+    assert [gen(i) for i in range(400)] == [closure(i) for i in range(400)]
+    new, old = [], []
+    for _ in range(9):  # interleaved, so a host slowdown hits both sides
+        new.append(timeit.timeit(lambda: [gen(i) for i in range(300)], number=30))
+        old.append(timeit.timeit(lambda: [closure(i) for i in range(300)], number=30))
+    # The minimum is the least disturbed run; 20% absorbs timer noise.
+    assert min(new) <= 1.2 * min(old)
