@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -417,6 +417,32 @@ class ScheduleTrajectory:
         self._error = error
 
 
+def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, float, float]]:
+    """Every job that starts strictly before time t, in schedule order, as
+    (problem, length, start, finish), read by one plan.job_spec call each.
+
+    Walks to a time are short, so they stay scalar; count-bounded sweeps
+    read ScheduleTrajectory.  Each job is checked in the trajectory's
+    order: job_spec, then the clock's overflow, then Job's span rule on
+    the full length, then a clock that no longer advances (a length under
+    the rule's 1e-12 absolute tolerance)."""
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    clock = 0.0
+    i = 0
+    while clock < t:
+        problem, length = plan.job_spec(i)
+        finish = clock + length
+        if not math.isfinite(finish):
+            raise ValueError(f"schedule clock overflowed at job {i}")
+        Job.check_span(clock, finish, length)
+        if finish == clock:
+            raise ValueError(f"schedule clock stopped advancing at job {i}")
+        yield problem, length, clock, finish
+        clock = finish
+        i += 1
+
+
 def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
     """All jobs that start strictly before horizon, in schedule order.
 
@@ -424,28 +450,12 @@ def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
     otherwise it is included whole (its finish may exceed the horizon,
     representing the run in progress).
     """
-    if horizon <= 0:
-        return []
-    jobs: list[Job] = []
-    t = 0.0
-    i = 0
-    while t < horizon:
-        problem, length = plan.job_spec(i)
-        finish = t + length
-        if not math.isfinite(finish):
-            raise ValueError(
-                f"schedule time overflowed at job {i}; reduce the horizon"
-            )
-        if plan.interruptible and finish > horizon:
-            cut = horizon - t
-            jobs.append(Job(problem=problem, length=cut, start=t, finish=horizon))
-        else:
-            jobs.append(Job(problem=problem, length=length, start=t, finish=finish))
-        if finish == t:  # a length under Job's absolute tolerance, absorbed
-            raise ValueError(f"schedule clock stopped advancing at job {i}")
-        t = finish
-        i += 1
-    return jobs
+    return [
+        Job(problem, horizon - start, start, horizon)
+        if plan.interruptible and finish > horizon
+        else Job(problem, length, start, finish)
+        for problem, length, start, finish in jobs_before(plan, horizon)
+    ]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ numopt and re-exported here.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_HORIZON, Job, RatioReport, SchedulePlan, ScheduleTrajectory
+from .core import DEFAULT_HORIZON, RatioReport, SchedulePlan, ScheduleTrajectory, jobs_before
 from .numopt import contract_bound, preemption_bound  # noqa: F401  (re-exported)
 
 
@@ -63,64 +63,55 @@ def aggregate_interruptible() -> ScheduleSemantics:
     return ScheduleSemantics(SemanticsKind.AGGREGATE_INTERRUPTIBLE)
 
 
-def _jobs(plan: SchedulePlan, count: int) -> list[Job]:
-    """First `count` jobs with cumulative start/finish annotations."""
-    if count < 0:
-        raise ValueError(f"job count must be >= 0, got {count}")
-    jobs: list[Job] = []
-    clock = 0.0
-    for i in range(count):
-        problem, length = plan.job_spec(i)
-        finish = clock + length
-        if not math.isfinite(finish):
-            raise ValueError(f"schedule clock overflowed at job {i}")
-        jobs.append(Job(problem=problem, length=length, start=clock, finish=finish))
-        clock = finish
-    return jobs
+def _run_ordinals(problem: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Each job's 1-based ordinal among the runs of its (problem, length)
+    pair, in job order: a stable sort groups the pairs."""
+    order = np.lexsort((length, problem))
+    p, x = problem[order], length[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (p[1:] != p[:-1]) | (x[1:] != x[:-1])
+    rank = np.arange(len(order))
+    ordinal = np.empty(len(order), dtype=np.intp)
+    ordinal[order] = rank - np.maximum.accumulate(np.where(first, rank, 0)) + 1
+    return ordinal
 
 
-class _ProblemState:
-    """Incrementally queryable per-problem completion record."""
-
-    __slots__ = ("longest", "total", "counts", "sorted_lengths")
-
-    def __init__(self) -> None:
-        self.longest = 0.0
-        self.total = 0.0
-        self.counts: dict[float, int] = {}
-        self.sorted_lengths: list[float] = []
-
-    def add(self, length: float) -> None:
-        self.longest = max(self.longest, length)
-        self.total += length
-        self.counts[length] = self.counts.get(length, 0) + 1
-        bisect.insort(self.sorted_lengths, length)
-
-    def credit(self, semantics: ScheduleSemantics) -> float:
-        kind = semantics.kind
-        if kind is SemanticsKind.LONGEST_COMPLETED:
-            return self.longest
-        if kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
-            return self.total
-        if kind is SemanticsKind.R_TIMES_COMPLETED:
-            eligible = [
-                length
-                for length, count in self.counts.items()
-                if count >= semantics.r
-            ]
-            return max(eligible, default=0.0)
-        if len(self.sorted_lengths) < semantics.r:
-            return 0.0
-        return self.sorted_lengths[-semantics.r]
+def _rth_largest(problem: np.ndarray, length: np.ndarray, n: int, r: int) -> list[float]:
+    """The r-th largest length of each job's problem once the job has
+    completed, or 0.0 while the problem has fewer than r runs: the root
+    of the problem's size-r min-heap."""
+    heaps: list[list[float]] = [[] for _ in range(n)]
+    events = []
+    for p, x in zip(problem.tolist(), length.tolist()):
+        heap = heaps[p]
+        if len(heap) < r:
+            heapq.heappush(heap, x)
+        else:
+            heapq.heappushpop(heap, x)
+        events.append(heap[0] if len(heap) == r else 0.0)
+    return events
 
 
-def _check_advance(start: float, finish: float, length: float, i: int) -> None:
-    """A walk to a time stops at job i if its clock absorbs the length:
-    Job's span rule, then a plain stall for lengths under its 1e-12
-    absolute tolerance."""
-    Job.check_span(start, finish, length)
-    if finish == start:
-        raise ValueError(f"schedule clock stopped advancing at job {i}")
+def _credit_table(problem: np.ndarray, length: np.ndarray, n: int,
+                  semantics: ScheduleSemantics) -> np.ndarray:
+    """Every problem's credit after each prefix of the jobs: row j covers
+    jobs 0..j-1.  Each job puts an event in its problem's column of a
+    (jobs + 1) x n table and a running scan goes down the rows: a sum for
+    aggregate credit, a max for the rest.  The event is the job's length,
+    except under r-times credit (the length only on the r-th run of its
+    length) and r-th largest credit (the problem's r-th largest length so
+    far, which never decreases)."""
+    kind = semantics.kind
+    events = length
+    if kind is SemanticsKind.R_TIMES_COMPLETED:
+        events = np.where(_run_ordinals(problem, length) == semantics.r, length, 0.0)
+    elif kind is SemanticsKind.RTH_LARGEST_COMPLETED:
+        events = _rth_largest(problem, length, n, semantics.r)
+    table = np.zeros((len(length) + 1, n))
+    table[np.arange(1, len(length) + 1), problem] = events
+    if kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
+        return np.add.accumulate(table, axis=0)
+    return np.maximum.accumulate(table, axis=0)
 
 
 def ell(
@@ -137,47 +128,18 @@ def ell(
     """
     if not (0 <= problem < plan.problem_count):
         raise ValueError(f"problem {problem} outside [0, {plan.problem_count})")
-    if t < 0:
-        raise ValueError(f"query time must be >= 0, got {t}")
-    state = _ProblemState()
+    lengths: list[float] = []
     partial = 0.0
-    clock = 0.0
-    i = 0
-    while clock < t:
-        p, length = plan.job_spec(i)
-        finish = clock + length
+    for p, length, start, finish in jobs_before(plan, t):
+        if p != problem:
+            continue
         if finish <= t:
-            if p == problem:
-                state.add(length)
-        else:
-            if p == problem and semantics.kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
-                partial = t - clock
-            break
-        start, clock = clock, finish
-        if not math.isfinite(clock):
-            raise ValueError("schedule clock overflowed before query time")
-        _check_advance(start, clock, length, i)
-        i += 1
-    return state.credit(semantics) + partial
-
-
-# Semantics whose per-problem credit is a running reduction of the
-# problem's lengths, scanned on the trajectory's columns; the rank-based
-# ones walk _jobs with a _ProblemState per problem.
-_SCANNED = {
-    SemanticsKind.LONGEST_COMPLETED: np.maximum.accumulate,
-    SemanticsKind.AGGREGATE_INTERRUPTIBLE: np.add.accumulate,
-}
-
-
-def _scanned_credit(problem: np.ndarray, length: np.ndarray, n: int,
-                    kind: SemanticsKind) -> np.ndarray:
-    """The least problem credit just before each job: each job's length
-    sits in its problem's column of a (jobs + 1) x n table, the scan runs
-    down the rows in job order, and job j reads row j."""
-    table = np.zeros((len(problem) + 1, n))
-    table[np.arange(1, len(problem) + 1), problem] = length
-    return _SCANNED[kind](table, axis=0)[:-1].min(axis=1)
+            lengths.append(length)
+        elif semantics.kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
+            partial = t - start
+    table = _credit_table(np.zeros(len(lengths), dtype=np.intp),
+                          np.array(lengths, dtype=float), 1, semantics)
+    return float(table[-1, 0]) + partial
 
 
 def acceleration_ratio(
@@ -198,21 +160,11 @@ def acceleration_ratio(
     n = plan.problem_count
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if semantics.kind in _SCANNED:
-        trajectory = ScheduleTrajectory(plan)
-        trajectory.reach(horizon)
-        finish = trajectory.finish[:horizon]
-        credit = _scanned_credit(trajectory.problem[:horizon],
-                                 trajectory.length[:horizon], n, semantics.kind)
-    else:
-        jobs = _jobs(plan, horizon)
-        states = [_ProblemState() for _ in range(n)]
-        credits: list[float] = []
-        for job in jobs:
-            credits.append(min(states[p].credit(semantics) for p in range(n)))
-            states[job.problem].add(job.length)
-        finish = np.array([job.finish for job in jobs])
-        credit = np.array(credits, dtype=float)
+    trajectory = ScheduleTrajectory(plan)
+    trajectory.reach(horizon)
+    finish = trajectory.finish[:horizon]
+    credit = _credit_table(trajectory.problem[:horizon], trajectory.length[:horizon],
+                           n, semantics)[:-1].min(axis=1)
     scored = credit > 0.0
     skipped = len(credit) - int(np.count_nonzero(scored))
     with np.errstate(over="ignore"):
@@ -291,18 +243,7 @@ def analytic_schedule_limits(
 
 def contract_count(plan: SchedulePlan, t: float) -> int:
     """Number of runs started strictly before time t."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    count = 0
-    clock = 0.0
-    while clock < t:
-        _, length = plan.job_spec(count)
-        count += 1
-        start, clock = clock, clock + length
-        if not math.isfinite(clock):
-            raise ValueError("schedule clock overflowed before time t")
-        _check_advance(start, clock, length, count - 1)
-    return count
+    return sum(1 for _ in jobs_before(plan, t))
 
 
 def preemption_count(plan: SchedulePlan, t: float) -> int:

@@ -246,12 +246,11 @@ def expected_acc_ratio_mc_contracts(
     trajectory.reach(horizon)
     q = 1.0 - p
     expected_credit = [0.0] * n
-    completions = [0] * n
     best = -math.inf
     witness = None
-    for problem, length, t in zip(*(column[:horizon].tolist() for column in (
-            trajectory.problem, trajectory.length, trajectory.finish))):
-        if all(completions):
+    for j, (problem, length, t) in enumerate(zip(*(column[:horizon].tolist() for column in (
+            trajectory.problem, trajectory.length, trajectory.finish)))):
+        if j >= n:  # the round-robin has completed a run of every problem
             credit = min(expected_credit)
             ratio = t / credit
             if ratio > best:
@@ -260,7 +259,6 @@ def expected_acc_ratio_mc_contracts(
         # Lengths grow along the schedule, so each new completion is the
         # problem's largest and the credit series updates in one step.
         expected_credit[problem] = p * length + q * expected_credit[problem]
-        completions[problem] += 1
     if witness is None:
         return RatioReport(
             finite_sup=math.inf,

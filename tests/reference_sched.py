@@ -1,11 +1,22 @@
-"""Scalar reference sweep of a schedule plan, the oracle for the columnar
-acceleration_ratio in raysched.sched_eval.
+"""Scalar reference walks of a schedule plan, the oracles for
+raysched.sched_eval and raysched.core.
 
-Jobs are generated one index at a time through plan.job_spec and
-validated as Job records, and every query takes the minimum credit over
-per-problem completion records, exactly as the evaluator did before it
-read ScheduleTrajectory columns: the same float operations in the same
-order, so reports and errors must agree with the package bit for bit.
+acceleration_ratio generates jobs one index at a time through
+plan.job_spec, validates them as Job records and takes every query's
+minimum credit over per-problem completion records, exactly as the
+evaluator did before it read ScheduleTrajectory columns and its credit
+table: the same float operations in the same order, so reports and
+errors must agree with the package bit for bit.
+
+ell, contract_count and schedule_prefix are the three hand-written walks
+to a time that the package replaced with one loop (core.jobs_before).
+They keep their own loops, with these rules in common:
+- a time that is not >= 0 (negative or nan) raises "time must be >= 0";
+  schedule_prefix returned [] there and the others let nan through as 0;
+- clock overflow raises "schedule clock overflowed at job i";
+- every job that starts before t is checked in full (overflow, Job's
+  span rule on the whole length, a stalled clock), including the job
+  that spans t, which ell skipped and schedule_prefix checked only as cut.
 """
 
 from __future__ import annotations
@@ -66,6 +77,77 @@ class ProblemState:
         if len(self.sorted_lengths) < semantics.r:
             return 0.0
         return self.sorted_lengths[-semantics.r]
+
+
+def _time_checked(t: float) -> None:
+    if not t >= 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+
+
+def _advance(clock: float, length: float, i: int) -> float:
+    """The clock after job i, with the checks every walk makes."""
+    finish = clock + length
+    if not math.isfinite(finish):
+        raise ValueError(f"schedule clock overflowed at job {i}")
+    Job.check_span(clock, finish, length)
+    if finish == clock:
+        raise ValueError(f"schedule clock stopped advancing at job {i}")
+    return finish
+
+
+def ell(plan: SchedulePlan, problem: int, t: float, semantics: ScheduleSemantics) -> float:
+    """Trusted progress on problem by time t, from a ProblemState."""
+    if not (0 <= problem < plan.problem_count):
+        raise ValueError(f"problem {problem} outside [0, {plan.problem_count})")
+    _time_checked(t)
+    state = ProblemState()
+    partial = 0.0
+    clock = 0.0
+    i = 0
+    while clock < t:
+        p, length = plan.job_spec(i)
+        finish = _advance(clock, length, i)
+        if finish <= t:
+            if p == problem:
+                state.add(length)
+        else:
+            if p == problem and semantics.kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
+                partial = t - clock
+            break
+        clock = finish
+        i += 1
+    return state.credit(semantics) + partial
+
+
+def contract_count(plan: SchedulePlan, t: float) -> int:
+    """Number of runs started strictly before time t."""
+    _time_checked(t)
+    count = 0
+    clock = 0.0
+    while clock < t:
+        _, length = plan.job_spec(count)
+        clock = _advance(clock, length, count)
+        count += 1
+    return count
+
+
+def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
+    """Jobs starting strictly before horizon, the last one cut at the
+    horizon on an interruptible plan."""
+    _time_checked(horizon)
+    out: list[Job] = []
+    t = 0.0
+    i = 0
+    while t < horizon:
+        problem, length = plan.job_spec(i)
+        finish = _advance(t, length, i)
+        if plan.interruptible and finish > horizon:
+            out.append(Job(problem=problem, length=horizon - t, start=t, finish=horizon))
+        else:
+            out.append(Job(problem=problem, length=length, start=t, finish=finish))
+        t = finish
+        i += 1
+    return out
 
 
 def acceleration_ratio(

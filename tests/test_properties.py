@@ -5,10 +5,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_sched as ref
 from raysched.core import Excursion, Relation, check_claim, schedule_prefix
 from raysched.numopt import lemma_root
 from raysched.search_eval import cost_to_visit, turn_count
-from raysched.sched_eval import _jobs, contract_count
+from raysched.sched_eval import contract_count
 from raysched.strategies import (
     make_custom_search,
     make_exponential_schedule,
@@ -105,7 +106,7 @@ def test_contract_count_brute_force_and_monotone(n, b, t_lo, t_hi):
     plan = make_exponential_schedule(n, b)
     lo, hi = sorted((t_lo, t_hi))
     count = contract_count(plan, hi)
-    brute = sum(1 for job in _jobs(plan, count + 2) if job.start < hi)
+    brute = sum(1 for job in ref.jobs(plan, count + 2) if job.start < hi)
     assert count == brute
     assert contract_count(plan, lo) <= count
 

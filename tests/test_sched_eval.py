@@ -9,10 +9,11 @@ import math
 
 import pytest
 
+import reference_sched as ref
+from raysched.core import schedule_prefix
 from raysched.sched_eval import (
     ScheduleSemantics,
     SemanticsKind,
-    _jobs,
     acceleration_ratio,
     aggregate_interruptible,
     contract_bound,
@@ -33,7 +34,7 @@ from raysched.strategies import (
 
 class TestJobs:
     def test_back_to_back_timeline(self):
-        jobs = _jobs(make_exponential_schedule(2, 2.0), 4)
+        jobs = ref.jobs(make_exponential_schedule(2, 2.0), 4)
         assert [(j.start, j.finish) for j in jobs] == [
             (0.0, 1.0),
             (1.0, 3.0),
@@ -169,3 +170,19 @@ class TestCounts:
         for t in (0.5, 2.0, 17.0, 300.0, 9000.0):
             assert preemption_count(splan, t) <= preemption_bound(3, 1.5, t) + 1e-9
             assert contract_count(cplan, t) <= contract_bound(1.5, t) + 1e-9
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda t: contract_count(make_exponential_schedule(1, 2.0), t),
+        lambda t: preemption_count(make_geometric_rr_schedule(1, 2.0), t),
+        lambda t: ell(make_exponential_schedule(1, 2.0), 0, t, longest_completed()),
+        lambda t: schedule_prefix(make_exponential_schedule(1, 2.0), t),
+    ],
+    ids=["contract_count", "preemption_count", "ell", "schedule_prefix"],
+)
+def test_walks_to_a_time_reject_a_time_that_is_not_nonnegative(walk, t):
+    with pytest.raises(ValueError, match=f"^time must be >= 0, got {t}$"):
+        walk(t)

@@ -1,5 +1,5 @@
 """Source hygiene: no package module imports another module's private
-names."""
+names, and schedule jobs are read through one of the two walkers."""
 
 import ast
 from pathlib import Path
@@ -23,4 +23,30 @@ def test_no_module_imports_a_private_name():
                 for alias in node.names
                 if alias.name.startswith("_")
             )
+    assert offenders == []
+
+
+# The count-bounded columns and the walk to a time: every other reader
+# of a schedule's jobs goes through one of these two.
+JOB_READERS = {("core.py", "ScheduleTrajectory"), ("core.py", "jobs_before")}
+
+
+def _job_spec_callers(tree):
+    """Names of the top-level definitions that call .job_spec(...)."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "job_spec"):
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_only_the_two_schedule_walkers_call_job_spec():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{line} calls job_spec in {name}"
+            for name, line in _job_spec_callers(tree)
+            if (path.name, name) not in JOB_READERS
+        )
     assert offenders == []
