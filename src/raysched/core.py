@@ -419,28 +419,29 @@ class ScheduleTrajectory:
 
 def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, float, float]]:
     """Every job that starts strictly before time t, in schedule order, as
-    (problem, length, start, finish), read by one plan.job_spec call each.
-
-    Walks to a time are short, so they stay scalar; count-bounded sweeps
-    read ScheduleTrajectory.  Each job is checked in the trajectory's
-    order: job_spec, then the clock's overflow, then Job's span rule on
-    the full length, then a clock that no longer advances (a length under
-    the rule's 1e-12 absolute tolerance)."""
+    (problem, length, start, finish), read by one plan.job_spec call each;
+    a negative or NaN t raises at the call.  Time walks read 1 to 108 jobs
+    in the catalog and bench; over that mix this loop costs a quarter of
+    one trajectory block per walk (ROADMAP item 3).  Each job is checked in
+    the trajectory's order: job_spec, the clock's overflow, Job's span rule
+    on the full length, then a clock that no longer advances (a length
+    under the rule's 1e-12 absolute tolerance)."""
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    clock = 0.0
-    i = 0
-    while clock < t:
-        problem, length = plan.job_spec(i)
-        finish = clock + length
-        if not math.isfinite(finish):
-            raise ValueError(f"schedule clock overflowed at job {i}")
-        Job.check_span(clock, finish, length)
-        if finish == clock:
-            raise ValueError(f"schedule clock stopped advancing at job {i}")
-        yield problem, length, clock, finish
-        clock = finish
-        i += 1
+
+    def walk() -> Iterator[tuple[int, float, float, float]]:
+        clock, i = 0.0, 0
+        while clock < t:
+            problem, length = plan.job_spec(i)
+            finish = clock + length
+            if not math.isfinite(finish):
+                raise ValueError(f"schedule clock overflowed at job {i}")
+            Job.check_span(clock, finish, length)
+            if finish == clock:
+                raise ValueError(f"schedule clock stopped advancing at job {i}")
+            yield problem, length, clock, finish
+            clock, i = finish, i + 1
+    return walk()
 
 
 def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:

@@ -179,7 +179,6 @@ def acceleration_ratio(
     worst = int(seq.argmax())  # the first, as a strict > sweep keeps it
     best, witness = float(seq[worst]), float(finish[scored][worst])
     limit_sup, asymptotic = analytic_schedule_limits(plan, semantics)
-    convergence_gap: Optional[float] = None
     if limit_sup is None:
         asymptotic = float(seq[-max(1, len(seq) // 4):].max())
         convergence_gap = abs(float(seq[-1]) - float(seq[len(seq) // 2]))

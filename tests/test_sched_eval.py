@@ -10,7 +10,7 @@ import math
 import pytest
 
 import reference_sched as ref
-from raysched.core import schedule_prefix
+from raysched.core import ScheduleTrajectory, jobs_before, schedule_prefix
 from raysched.sched_eval import (
     ScheduleSemantics,
     SemanticsKind,
@@ -33,15 +33,19 @@ from raysched.strategies import (
 
 
 class TestJobs:
+    TIMELINE = [(0, 1.0, 0.0, 1.0), (1, 2.0, 1.0, 3.0), (0, 4.0, 3.0, 7.0), (1, 8.0, 7.0, 15.0)]
+
     def test_back_to_back_timeline(self):
-        jobs = ref.jobs(make_exponential_schedule(2, 2.0), 4)
-        assert [(j.start, j.finish) for j in jobs] == [
-            (0.0, 1.0),
-            (1.0, 3.0),
-            (3.0, 7.0),
-            (7.0, 15.0),
-        ]
-        assert [j.problem for j in jobs] == [0, 1, 0, 1]
+        trajectory = ScheduleTrajectory(make_exponential_schedule(2, 2.0))
+        trajectory.reach(4)
+        finish = trajectory.finish[:4].tolist()
+        assert list(zip(trajectory.problem[:4].tolist(), trajectory.length[:4].tolist(),
+                        [0.0] + finish[:-1], finish)) == self.TIMELINE
+
+    def test_walk_to_a_time_reads_the_same_timeline(self):
+        assert list(jobs_before(make_exponential_schedule(2, 2.0), 15.0)) == self.TIMELINE
+        assert [(j.problem, j.length, j.start, j.finish) for j in ref.jobs(
+            make_exponential_schedule(2, 2.0), 4)] == self.TIMELINE
 
 
 class TestEll:
@@ -180,8 +184,9 @@ class TestCounts:
         lambda t: preemption_count(make_geometric_rr_schedule(1, 2.0), t),
         lambda t: ell(make_exponential_schedule(1, 2.0), 0, t, longest_completed()),
         lambda t: schedule_prefix(make_exponential_schedule(1, 2.0), t),
+        lambda t: jobs_before(make_exponential_schedule(1, 2.0), t),  # not iterated
     ],
-    ids=["contract_count", "preemption_count", "ell", "schedule_prefix"],
+    ids=["contract_count", "preemption_count", "ell", "schedule_prefix", "jobs_before"],
 )
 def test_walks_to_a_time_reject_a_time_that_is_not_nonnegative(walk, t):
     with pytest.raises(ValueError, match=f"^time must be >= 0, got {t}$"):
