@@ -162,7 +162,8 @@ class SearchTrajectory:
 
     ray, inner, outer, cost and cum (the running cost, summed in walk
     order) hold one entry per excursion; next_same[k] is the next
-    excursion on k's ray, or -1.  A tagged plan whose generator is a
+    excursion on k's ray, or -1, linked when read (growth links nothing,
+    so per-index growth pays no linking).  A tagged plan whose generator is a
     CyclicDepths is read in blocks of its depth function, with the checks
     of Excursion and SearchPlan.excursion made on the arrays; any other
     plan (custom, or with its generator swapped) calls plan.excursion
@@ -177,10 +178,10 @@ class SearchTrajectory:
         self.plan = plan
         self.hint = hint
         self.size = 0
-        self.ray = np.empty(0, dtype=np.intp)
-        self.next_same = np.empty(0, dtype=np.intp)
+        self.ray, self._next = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         self.inner, self.outer, self.cost, self.cum = (np.empty(0) for _ in range(4))
-        self._last = [-1] * plan.ray_count
+        self._last = np.full(plan.ray_count, -1)  # each ray's last linked excursion
+        self._linked = 0
         self._error: Optional[Exception] = None
         self._cyclic = isinstance(plan.generator, CyclicDepths) and plan.tag.kind != "custom"
 
@@ -237,18 +238,30 @@ class SearchTrajectory:
                                + (advice if self.hint else ""))
         end = lo + n
         if end > len(self.ray):
-            for name in ("ray", "next_same", "inner", "outer", "cost", "cum"):
+            for name in ("ray", "_next", "inner", "outer", "cost", "cum"):
                 setattr(self, name, np.resize(getattr(self, name), 2 * end + 64))
         for column, values in ((self.ray, ray), (self.inner, inner), (self.outer, outer),
                                (self.cost, cost), (self.cum, cum)):
             column[lo:end] = values[:n]
-        self.next_same[lo:end] = -1
-        for k, r in enumerate(self.ray[lo:end].tolist(), lo):
-            if self._last[r] >= 0:
-                self.next_same[self._last[r]] = k
-            self._last[r] = k
         self.size = end
         self._error = error
+
+    @property
+    def next_same(self) -> np.ndarray:
+        """The next-excursion links, after linking the excursions added
+        since the last read: a stable sort by ray puts each ray's last
+        linked excursion (from _last) ahead of its new ones, in order."""
+        lo, hi, m = self._linked, self.size, len(self._last)
+        if lo < hi:
+            order = np.concatenate((np.arange(m), self.ray[lo:hi])).argsort(kind="stable")
+            chain = np.concatenate((self._last, np.arange(lo, hi)))[order]
+            same = order[1:] >= m  # chain[i + 1] follows chain[i] on its ray
+            link = same & (chain[:-1] >= 0)
+            self._next[lo:hi] = -1
+            self._next[chain[:-1][link]] = chain[1:][link]
+            self._last = chain[np.concatenate((~same, [True]))]
+            self._linked = hi
+        return self._next
 
 
 def excursion_prefix(plan: SearchPlan, count: int) -> list[ExcursionStep]:

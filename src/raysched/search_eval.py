@@ -106,35 +106,39 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
                     passes: int, *, outward_only: bool = False, grow: bool = False):
     """The first `passes` passes over the targets just beyond the
     frontiers of excursions 0..count-1, each scanning its ray's later
-    excursions, all in lock step: yields (candidates, pass ordinals from
-    0, costs) move by move.  With grow, the trajectory is extended while
-    a candidate waits for its ray's next excursion, up to the stream
-    length of visit_cost_stream; otherwise candidates end with the
-    materialized prefix.
+    excursions, all in lock step: yields (hit, ordinal, cost) per move,
+    full-width arrays valid until the next move.  Where hit is set, the
+    candidate's ordinal-th pass (from 0) costs cost; a done candidate has
+    ordinal passes.  Candidates keep their positions, so a sweep costs
+    O(count · passes).  With grow, the trajectory is extended while a
+    candidate waits for its ray's next excursion, up to the stream length
+    of visit_cost_stream; otherwise candidates end with the prefix.
     """
     trajectory.reach(count)
     point = trajectory.outer[:count]
     seen = np.zeros(count, dtype=np.intp)
-    cand = k = np.arange(count)
+    k = np.arange(count)
+    bound = count + _STREAM_EXCURSIONS
+    stream_end = np.arange(_STREAM_EXCURSIONS, bound)  # each candidate's last excursion
     while True:
-        alive = seen[cand] < passes
-        cand, k = cand[alive], k[alive]
         nxt = trajectory.next_same[k]
-        while grow and (nxt < 0).any() and trajectory.size < count + _STREAM_EXCURSIONS:
-            trajectory.reach(trajectory.size + 1, count + _STREAM_EXCURSIONS)
+        if grow:  # read on until every waiting candidate's ray comes round again
+            waiting = set(trajectory.ray[k[(nxt < 0) & (seen < passes)]].tolist())
+            while waiting and trajectory.size < bound:
+                lo = trajectory.size
+                trajectory.reach(lo + 1, bound)
+                waiting -= set(trajectory.ray[lo:trajectory.size].tolist())
             nxt = trajectory.next_same[k]
-        keep = nxt >= 0
-        if grow:
-            keep &= nxt <= cand + _STREAM_EXCURSIONS
-        cand, k = cand[keep], nxt[keep]
-        if not cand.size:
+        done = (nxt < 0) | (nxt > stream_end) if grow else nxt < 0
+        np.putmask(seen, done, passes)
+        if not np.count_nonzero(seen < passes):
             return
-        for hit, cost in _passes(plan, trajectory, k, point[cand], beyond=True,
+        k = np.where(done, 0, nxt)  # a done candidate reads excursion 0, unused
+        for hit, cost in _passes(plan, trajectory, k, point, beyond=True,
                                  outward_only=outward_only):
-            hit &= seen[cand] < passes
-            taken = cand[hit]
-            yield taken, seen[taken], cost[hit]
-            seen[taken] += 1
+            hit &= seen < passes
+            yield hit, seen, cost
+            seen += hit
 
 
 def visit_cost_stream(
@@ -263,9 +267,8 @@ def competitive_ratio(
     trajectory.reach(horizon + buffer)
 
     found = np.full(horizon, math.nan)
-    for taken, ordinal, cost in frontier_passes(plan, trajectory, horizon, r):
-        last = ordinal == r - 1
-        found[taken[last]] = cost[last]
+    for hit, ordinal, cost in frontier_passes(plan, trajectory, horizon, r):
+        np.copyto(found, cost, where=hit & (ordinal == r - 1))
     reached = np.flatnonzero(~np.isnan(found))
     ratio_array = found[reached] / trajectory.outer[reached]
     ratios = ratio_array.tolist()

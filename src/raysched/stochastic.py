@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DEFAULT_HORIZON, McEstimate, RatioReport, SchedulePlan, SearchPlan
 from .core import ScheduleTrajectory, SearchTrajectory
@@ -107,7 +108,7 @@ def expected_search_cost(
     p(1-p)^(k-1) times the walk cost of that pass, truncated once the
     survival weight drops below tail_tol.  Returns +inf when the tagged
     family's analytic divergence test fires."""
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
     reason = _unbounded_reason(plan, model.p)
     if reason is not None:
@@ -178,14 +179,16 @@ def probabilistic_competitive_ratio(
     q = 1.0 - p
     outward = model.direction_rule is DirectionRule.OUTWARD_ONLY
     # Every candidate's series is summed term by term in pass order, all
-    # candidates at once; np.sum would reorder the additions.
+    # candidates at once; np.sum would reorder the additions.  The weights
+    # end in a 0 for the ordinal of candidates that have all their passes.
     weights = np.fromiter(_series_weights(p, 1e-12), dtype=float)
+    w = np.append(weights, 0.0)
     trajectory = SearchTrajectory(plan)
     expected = np.zeros(horizon)
-    for taken, ordinal, cost in frontier_passes(
+    for hit, ordinal, cost in frontier_passes(
         plan, trajectory, horizon, weights.size, outward_only=outward, grow=True
     ):
-        expected[taken] += weights[ordinal] * cost
+        np.add(expected, w[ordinal] * cost, out=expected, where=hit)
     ratios = expected / trajectory.outer[:horizon]
     j = int(np.argmax(ratios))
     best = float(ratios[j])
@@ -244,28 +247,29 @@ def expected_acc_ratio_mc_contracts(
     plan = make_exponential_schedule(n, b)
     trajectory = ScheduleTrajectory(plan)
     trajectory.reach(horizon)
-    q = 1.0 - p
-    expected_credit = [0.0] * n
-    best = -math.inf
-    witness = None
-    for j, (problem, length, t) in enumerate(zip(*(column[:horizon].tolist() for column in (
-            trajectory.problem, trajectory.length, trajectory.finish)))):
-        if j >= n:  # the round-robin has completed a run of every problem
-            credit = min(expected_credit)
-            ratio = t / credit
-            if ratio > best:
-                best = ratio
-                witness = t
-        # Lengths grow along the schedule, so each new completion is the
-        # problem's largest and the credit series updates in one step.
-        expected_credit[problem] = p * length + q * expected_credit[problem]
-    if witness is None:
+    if horizon <= n:  # some problem has not completed a run at any query
         return RatioReport(
             finite_sup=math.inf,
             witness=None,
             horizon=horizon,
             note="some problem never completes a run within the horizon",
         )
+    q = 1.0 - p
+    # Job j runs problem j % n.  Lengths grow along the schedule, so each
+    # new completion is its problem's largest and the credit series
+    # updates in one step: credit[j] is job j's problem's credit after it.
+    credit = np.empty(horizon)
+    for i in range(n):
+        credit[i::n] = list(itertools.accumulate(
+            trajectory.length[i:horizon:n].tolist(), lambda c, x: p * x + q * c,
+            initial=0.0))[1:]
+    # Query j >= n finds every problem's credit after its last job, the
+    # previous n events; the first maximum is the witness.  A subnormal p
+    # overflows a ratio to inf, as the scalar division did.
+    with np.errstate(over="ignore"):
+        ratios = trajectory.finish[n:horizon] / sliding_window_view(credit[:-1], n).min(axis=1)
+    j = int(np.argmax(ratios))
+    best, witness = float(ratios[j]), float(trajectory.finish[n + j])
     asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
     limit_sup = None
     if p == 1.0:

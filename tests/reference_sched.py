@@ -8,6 +8,10 @@ evaluator did before it read ScheduleTrajectory columns and its credit
 table: the same float operations in the same order, so reports and
 errors must agree with the package bit for bit.
 
+expected_contracts is expected_acc_ratio_mc_contracts as a per-job
+loop, before the package ran the credit recurrence once per problem's
+column and took each query's least credit over a window of events.
+
 ell, contract_count and schedule_prefix are the three hand-written walks
 to a time that the package replaced with one loop (core.jobs_before).
 They keep their own loops, with these rules in common:
@@ -30,7 +34,9 @@ from raysched.sched_eval import (
     ScheduleSemantics,
     SemanticsKind,
     analytic_schedule_limits,
+    longest_completed,
 )
+from raysched.strategies import make_exponential_schedule
 
 
 def jobs(plan: SchedulePlan, count: int) -> list[Job]:
@@ -202,4 +208,43 @@ def acceleration_ratio(
         asymptotic=asymptotic,
         convergence_gap=convergence_gap,
         note=note,
+    )
+
+
+def expected_contracts(n: int, p: float, b: float, horizon: int) -> RatioReport:
+    """The expected-credit sweep over the exponential round-robin, one
+    job at a time: query each completion with the least expected credit
+    over the problems (once all have completed a run), then update the
+    completing problem's credit by c = p * length + q * c."""
+    plan = make_exponential_schedule(n, b)
+    q = 1.0 - p
+    expected_credit = [0.0] * n
+    best = -math.inf
+    witness = None
+    for j, job in enumerate(jobs(plan, horizon)):
+        if j >= n:
+            credit = min(expected_credit)
+            ratio = job.finish / credit
+            if ratio > best:
+                best = ratio
+                witness = job.finish
+        expected_credit[job.problem] = p * job.length + q * expected_credit[job.problem]
+    if witness is None:
+        return RatioReport(
+            finite_sup=math.inf,
+            witness=None,
+            horizon=horizon,
+            note="some problem never completes a run within the horizon",
+        )
+    asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
+    limit_sup = None
+    if p == 1.0:
+        limit_sup, _ = analytic_schedule_limits(plan, longest_completed())
+    return RatioReport(
+        finite_sup=best,
+        witness=witness,
+        horizon=horizon,
+        limit_sup=limit_sup,
+        asymptotic=asymptotic,
+        convergence_gap=abs(best - asymptotic),
     )

@@ -8,7 +8,9 @@ margins at the chosen trial counts.
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_sched as ref
 from raysched.numopt import closed_form
 from raysched.sched_eval import acceleration_ratio, longest_completed
 from raysched.stochastic import (
@@ -86,6 +88,14 @@ class TestExpectedSearchCost:
         assert expected_search_cost(plan, DetectionModel(1.0), (0, 1.0)) == 1.0
         assert expected_search_cost(plan, DetectionModel(1.0), (0, 2.0)) == 4.0
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan])
+    def test_tail_tolerance_must_be_positive(self, tail_tol):
+        # A NaN tolerance never ends the series, which then walks the
+        # pass stream until the cumulative cost overflows.
+        plan = make_exponential_search(2, 1.2)
+        with pytest.raises(ValueError, match=r"^tail_tol must be > 0, got "):
+            expected_search_cost(plan, DetectionModel(0.5), (0, 1.0), tail_tol)
+
     def test_mc_agrees_with_series(self):
         for m, p in ((2, 0.5), (3, 0.8)):
             b = tuned_search_base(m, p)
@@ -161,6 +171,31 @@ class TestExpectedContracts:
         n, p = 2, 0.7
         report = expected_acc_ratio_mc_contracts(n, p, (n + 1.0) / n)
         assert report.finite_sup <= math.e * n / p + math.e / p + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @example(n=3, p=0.5, b=2.0, horizon=3)
+    @example(n=1, p=1.0, b=3.0, horizon=2)
+    @example(n=5, p=0.3, b=1.02, horizon=6)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        b=st.floats(min_value=1.01, max_value=3.0, exclude_min=True),
+        horizon=st.one_of(st.integers(min_value=1, max_value=6),
+                          st.integers(min_value=1, max_value=400)),
+    )
+    def test_sweep_equals_the_per_job_loop(self, n, p, b, horizon):
+        """Equal reports, field by field by repr (a subnormal p gives an
+        inf ratio and a nan gap), or the same error."""
+        def outcome(sweep):
+            try:
+                report = sweep(n, p, b, horizon)
+            except (ValueError, ZeroDivisionError) as err:
+                return type(err), str(err)
+            assert all(type(value) is float for value in (report.finite_sup, report.witness)
+                       if value is not None)
+            return repr(report)
+
+        assert outcome(expected_acc_ratio_mc_contracts) == outcome(ref.expected_contracts)
 
     def test_validation(self):
         with pytest.raises(ValueError):

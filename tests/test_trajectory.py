@@ -1,7 +1,8 @@
 """The columnar search trajectory and its pass-cost kernel against the
 scalar reference walk in reference_walk.py: equal to the last bit on
-custom plans, and generating each excursion at most once and no further
-than the scalar walk did."""
+custom plans and on tagged plans at deep horizons, and generating each
+excursion at most once and no further than the scalar walk did.  The
+trajectory's next-excursion links equal a scalar link of its rays."""
 
 import dataclasses
 import itertools
@@ -21,7 +22,12 @@ from raysched.stochastic import (
     probabilistic_competitive_ratio,
     tuned_search_base,
 )
-from raysched.strategies import make_exponential_search
+from raysched.strategies import (
+    make_custom_search,
+    make_exponential_search,
+    make_geometric_search,
+    make_nm_search,
+)
 
 
 def _jittered_plan(m, pattern, growth, cost_model, traversals):
@@ -208,3 +214,94 @@ def test_trajectory_keeps_the_first_failure():
         with pytest.raises(ValueError, match="^bad excursion 3$"):
             trajectory.reach(5)
     assert trajectory.size == 3 and calls[3] == 1
+
+
+def _scalar_links(rays):
+    """next_same of a ray column by a scalar walk: each excursion links
+    to the next one on its ray, the last on each ray to -1."""
+    links, last = [-1] * len(rays), {}
+    for k, ray in enumerate(rays):
+        if ray in last:
+            links[last[ray]] = k
+        last[ray] = k
+    return links
+
+
+def _assert_linked(trajectory):
+    size = trajectory.size
+    assert trajectory.next_same[:size].tolist() == _scalar_links(
+        trajectory.ray[:size].tolist())
+
+
+def _custom_twin(plan):
+    return make_custom_search(plan.ray_count, plan.generator, plan.cost_model,
+                              plan.traversals)
+
+
+FACTORIES = {
+    "exponential": lambda m, b: make_exponential_search(m, b),
+    "nm": lambda m, b: make_nm_search(m, b, 2),
+    "geometric": lambda m, b: make_geometric_search(m, b),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FACTORIES)),
+    m=st.integers(min_value=2, max_value=5),
+    b=st.floats(min_value=1.05, max_value=1.3),
+    reads=st.lists(st.tuples(st.integers(min_value=1, max_value=200),
+                             st.integers(min_value=0, max_value=200), st.booleans()),
+                   min_size=1, max_size=4),
+)
+def test_tagged_links_equal_a_scalar_link_across_blocks(family, m, b, reads):
+    """Blocks of many sizes, with next_same read after some of them."""
+    trajectory = SearchTrajectory(FACTORIES[family](m, b))
+    for grow, ahead, read in reads:
+        trajectory.reach(trajectory.size + grow, trajectory.size + grow + ahead)
+        if read:
+            _assert_linked(trajectory)
+    _assert_linked(trajectory)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plan=st.one_of(
+        custom_plans(),
+        st.builds(lambda family, m: _custom_twin(FACTORIES[family](m, 1.3)),
+                  st.sampled_from(sorted(FACTORIES)), st.integers(min_value=2, max_value=4)),
+    ),
+    reads=st.lists(st.booleans(), min_size=1, max_size=60),
+)
+def test_per_index_links_equal_a_scalar_link(plan, reads):
+    """Custom plans grow one index at a time, with next_same read after
+    some steps; a ray may never be visited, or be linked in one read and
+    continued in a later one."""
+    trajectory = SearchTrajectory(plan)
+    for read in reads:
+        trajectory.reach(trajectory.size + 1)
+        if read:
+            _assert_linked(trajectory)
+    _assert_linked(trajectory)
+
+
+@pytest.mark.parametrize("m, p, outward_only, horizon", [
+    (2, 0.45, False, 600),
+    (3, 0.6, True, 500),
+    (5, 0.5, False, 500),
+])
+def test_deep_probabilistic_sweep_equals_the_scalar_walk(m, p, outward_only, horizon):
+    """Deep-horizon sizes on a tagged plan, read in blocks: every
+    candidate's series, summed in pass order, is the scalar walk's."""
+    plan = make_exponential_search(m, tuned_search_base(m, p))
+    rule = DirectionRule.OUTWARD_ONLY if outward_only else DirectionRule.BOTH_DIRECTIONS
+    report = probabilistic_competitive_ratio(plan, DetectionModel(p, rule), horizon)
+    assert (report.finite_sup, report.witness) == ref.probabilistic_sweep(
+        plan, p, outward_only, horizon)[:2]
+
+
+@pytest.mark.parametrize("m, b, r", [(2, 1.3, 1), (3, 1.2, 2), (5, 1.1, 3)])
+def test_deep_competitive_sweep_equals_the_scalar_walk(m, b, r):
+    plan = make_exponential_search(m, b)
+    report = competitive_ratio(plan, rth_visit(r), 2000)
+    assert (report.finite_sup, report.witness) == ref.competitive_sweep(plan, r, 2000)
