@@ -483,6 +483,9 @@ def console_main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a value past float or C integer range
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return exit_code
 
 

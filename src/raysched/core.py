@@ -17,6 +17,11 @@ import numpy as np
 
 ABS_TOL = 1e-9
 DEFAULT_HORIZON = 200
+# Jobs a time walk may read before it gives up on reaching its time.
+MAX_WALK_JOBS = 1_000_000
+# Entries a trajectory may hold: a horizon of 10^6 plus a target's pass
+# stream of as many excursions, at about 100 bytes an entry.
+MAX_TRAJECTORY = 1 << 21
 
 
 class CostModel(Enum):
@@ -157,6 +162,14 @@ class ExcursionStep:
     cumulative_cost: float
 
 
+def _check_room(size: int, count: int, unit: str) -> None:
+    """Raise when a trajectory at its MAX_TRAJECTORY entries is asked for
+    more; growth blocks stop at that size."""
+    if size >= MAX_TRAJECTORY:
+        raise ValueError(f"{count} {unit} requested, more than the "
+                         f"{MAX_TRAJECTORY} a trajectory may hold")
+
+
 class SearchTrajectory:
     """A search plan's excursion prefix as columns, grown on demand.
 
@@ -190,15 +203,16 @@ class SearchTrajectory:
         the first one that cannot be.  A block read runs ahead up to
         twice the size, but not past bound, the furthest count the
         caller may ask for; an error past count waits for a caller that
-        needs it."""
+        needs it.  Past MAX_TRAJECTORY excursions it raises."""
         while self.size < count:
             if self._error is not None:
                 raise self._error
+            _check_room(self.size, count, "excursions")
             lo = self.size
             if not self._cyclic:
-                self._fill(lo, *self._excursions(lo, count))
+                self._fill(lo, *self._excursions(lo, min(count, MAX_TRAJECTORY)))
                 continue
-            hi = max(count, min(2 * lo, bound))
+            hi = min(max(count, min(2 * lo, bound)), MAX_TRAJECTORY)
             inner, outer = self.plan.generator.depths(lo, hi)
             inner, outer = np.array(inner, dtype=float), np.array(outer, dtype=float)
             ray = np.arange(lo, lo + len(outer)) % self.plan.generator.m
@@ -368,12 +382,13 @@ class ScheduleTrajectory:
 
     def reach(self, count: int) -> None:
         """Materialize the first count jobs, or raise the error of the
-        first one that cannot be."""
+        first one that cannot be.  Past MAX_TRAJECTORY jobs it raises."""
         while self.size < count:
             if self._error is not None:
                 raise self._error
+            _check_room(self.size, count, "jobs")
             lo = self.size
-            hi = min(count, max(2 * lo, 256))
+            hi = min(count, max(2 * lo, 256), MAX_TRAJECTORY)
             if self._block is None:
                 self._fill(lo, *self._specs(lo, hi))
                 continue
@@ -438,13 +453,16 @@ def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, floa
     one trajectory block per walk (ROADMAP item 3).  Each job is checked in
     the trajectory's order: job_spec, the clock's overflow, Job's span rule
     on the full length, then a clock that no longer advances (a length
-    under the rule's 1e-12 absolute tolerance)."""
+    under the rule's 1e-12 absolute tolerance).  A walk that has not
+    reached t after MAX_WALK_JOBS jobs raises."""
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
 
     def walk() -> Iterator[tuple[int, float, float, float]]:
         clock, i = 0.0, 0
         while clock < t:
+            if i == MAX_WALK_JOBS:
+                raise ValueError(f"time {t} not reached within {MAX_WALK_JOBS} jobs")
             problem, length = plan.job_spec(i)
             finish = clock + length
             if not math.isfinite(finish):

@@ -3,13 +3,16 @@ scheduling, and the randomized schedule's measured acceleration ratio.
 
 Series evaluators are exact up to an explicit geometric tail cutoff;
 Monte Carlo estimators use counter-based seeding so results are
-deterministic for a given seed and independent of execution order.
+deterministic for a given seed and independent of execution order and
+of the number of cores.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
@@ -337,6 +340,11 @@ class RandomizedScheduleParams:
         return (self.b**k - 1.0) / (self.b - 1.0) * self.b**delta
 
 
+# The fewest trials a slice of the randomized-schedule Monte Carlo takes
+# onto a thread of its own.
+_MIN_SLICE = 1 << 14
+
+
 def standard_t_grid(
     n: int, b: float, k_count: int = 12, deltas: tuple[float, ...] = (0.0, 0.5)
 ) -> tuple[tuple[int, float], ...]:
@@ -347,6 +355,14 @@ def standard_t_grid(
     return tuple(
         (k, delta) for k in range(n + 1, n + 1 + k_count) for delta in deltas
     )
+
+
+def _core_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def mc_randomized_schedule_detail(
@@ -362,13 +378,26 @@ def mc_randomized_schedule_detail(
     problem's most recent completed run is D.  The permutation is the
     argsort of n uniform keys, so the queried problem's slot in it is
     the rank of its key: one draw matrix and no sort.  Epsilon is
-    sampled stratified over [0, 1); each grid point gets an independent
-    child seed, so rows are reproducible in any execution order.
+    sampled stratified over [0, 1).  Grid point idx draws from its own
+    stream, Philox seeded by ``SeedSequence(entropy=seed,
+    spawn_key=(idx,))``: first one epsilon per trial, then the trials'
+    n keys row by row.  Rows are reproducible in any execution order.
 
     A call allocates its work vectors once, and every grid point refills
-    them in place (``out=``) with the same draws and the same float
-    operations, in the same operand order, as a fresh-array evaluation:
-    the rows are the same to the last bit."""
+    them in place (``out=``).  The trials are cut into contiguous
+    slices, one per core the process may run on, each of at least
+    ``_MIN_SLICE`` trials (so a small call is one slice).  Philox is
+    counter-based, so slice [lo, hi) reads its epsilons from the point's
+    stream jumped to draw lo and its keys from the stream jumped to draw
+    trials + lo n: the same draws as one pass over all trials.  Slices
+    run the same elementwise float operations, in the same operand
+    order, on their views of the work vectors; the first runs on the
+    calling thread and the others on a pool that lives for the call, in
+    copies of the caller's context, so an ``np.errstate`` in force
+    applies to them too.  The running-run check covers every trial and
+    fails only once all slices of the point have finished, and the mean
+    and standard error are taken over the whole vector.  The rows are
+    thus the same to the last bit for any number of cores."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -384,59 +413,93 @@ def mc_randomized_schedule_detail(
     slot = np.empty(trials, dtype=np.intp)
     keys = np.empty((trials, n))
 
-    def finish(j: int) -> np.ndarray:
-        """Finish time of run j, b^eps (b^j - 1)/(b - 1), into work."""
-        np.multiply(b_eps, b**j - 1.0, out=work)
-        return np.divide(work, b - 1.0, out=work)
-
-    rows: list[dict] = []
-    for idx, (k, delta) in enumerate(params.t_grid):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
+    def stream(idx: int, draw: int) -> np.random.Generator:
+        """Grid point idx's stream, positioned at its draw-th double."""
+        bit_gen = np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(idx,))
         )
-        t = params.query_time(k, delta)
-        rng.random(out=eps)
-        np.add(strata, eps, out=eps)
-        np.divide(eps, grid_size, out=eps)
-        np.power(b, eps, out=b_eps)
+        bit_gen.advance(draw // 4)  # one counter step yields four doubles
+        rng = np.random.Generator(bit_gen)
+        rng.random(draw % 4)
+        return rng
+
+    def run_slice(idx: int, k: int, t: float, lo: int, hi: int) -> bool:
+        """D of trials [lo, hi) of grid point idx into work[lo:hi].
+        Returns whether some trial's running run fell outside {k-1, k}."""
+        eps_, b_eps_, work_ = eps[lo:hi], b_eps[lo:hi], work[lo:hi]
+        at_k_, mask_, slot_ = at_k[lo:hi], mask[lo:hi], slot[lo:hi]
+
+        def finish(j: int) -> np.ndarray:
+            """Finish time of run j, b^eps (b^j - 1)/(b - 1), into work."""
+            np.multiply(b_eps_, b**j - 1.0, out=work_)
+            return np.divide(work_, b - 1.0, out=work_)
+
+        stream(idx, lo).random(out=eps_)
+        np.add(strata[lo:hi], eps_, out=eps_)
+        np.divide(eps_, grid_size, out=eps_)
+        np.power(b, eps_, out=b_eps_)
         # The number of completed runs l satisfies finish(l) <= t <
         # finish(l+1): l = k where at_k holds, k-1 elsewhere.  at_k settles
         # one side of that bracket; the other side, t < finish(k+1) or
         # finish(k-1) <= t, is checked on every trial.
-        np.less_equal(finish(k), t, out=at_k)
-        np.less_equal(finish(k + 1), t, out=mask)
-        escaped = bool(np.logical_and(mask, at_k, out=mask).any())
-        np.less_equal(finish(k - 1), t, out=mask)
-        escaped |= not np.logical_or(mask, at_k, out=mask).all()
-        if escaped:
-            raise AssertionError(
-                "running-run index fell outside {k-1, k} at "
-                f"grid point (k={k}, delta={delta})"
-            )
+        np.less_equal(finish(k), t, out=at_k_)
+        np.less_equal(finish(k + 1), t, out=mask_)
+        if np.logical_and(mask_, at_k_, out=mask_).any():
+            return True
+        np.less_equal(finish(k - 1), t, out=mask_)
+        if not np.logical_or(mask_, at_k_, out=mask_).all():
+            return True
         # The queried problem's last completed run has index
         # l - 1 - ((l - 1 - slot) mod n).  That takes 2n values, one per
-        # (l, slot), tabled here and looked up at n [l = k] + slot.  The
-        # keys are the point's last draws, so with n = 1, where the slot
-        # is 0, they are not drawn.
+        # (l, slot), tabled here and looked up at n [l = k] + slot.  With
+        # n = 1, where the slot is 0, the keys are not drawn.
         last_index = np.array(
             [runs - 1 - (runs - 1 - s) % n for runs in (k - 1, k) for s in range(n)],
             dtype=float,
         )
-        np.multiply(at_k, n, out=slot)
+        np.multiply(at_k_, n, out=slot_)
         if n > 1:
-            rng.random(out=keys)
+            keys_ = keys[lo:hi]
+            stream(idx, trials + lo * n).random(out=keys_)
             for j in range(1, n):
-                np.less(keys[:, j], keys[:, 0], out=mask)
-                np.add(slot, mask, out=slot)
-        np.take(last_index, slot, out=work)
-        np.add(work, eps, out=work)
-        np.power(b, work, out=work)
-        mean = float(np.mean(work))
-        stderr = (
-            float(np.std(work, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        )
-        rows.append(dict(k=k, delta=delta, t=t, d_mean=mean, d_stderr=stderr,
-                         ratio=t / mean))
+                np.less(keys_[:, j], keys_[:, 0], out=mask_)
+                np.add(slot_, mask_, out=slot_)
+        np.take(last_index, slot_, out=work_)
+        np.add(work_, eps_, out=work_)
+        np.power(b, work_, out=work_)
+        return False
+
+    slices = max(1, min(_core_count(), trials // _MIN_SLICE))
+    bounds = [(trials * i // slices, trials * (i + 1) // slices) for i in range(slices)]
+    pool = None
+    if slices > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(slices - 1)
+    rows: list[dict] = []
+    try:
+        for idx, (k, delta) in enumerate(params.t_grid):
+            t = params.query_time(k, delta)
+            futures = [
+                pool.submit(contextvars.copy_context().run, run_slice, idx, k, t, lo, hi)
+                for lo, hi in bounds[1:]
+            ]
+            escaped = run_slice(idx, k, t, *bounds[0])
+            # Waits for every slice, and raises the first slice error.
+            if any([future.result() for future in futures]) or escaped:
+                raise AssertionError(
+                    "running-run index fell outside {k-1, k} at "
+                    f"grid point (k={k}, delta={delta})"
+                )
+            mean = float(np.mean(work))
+            stderr = (
+                float(np.std(work, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            )
+            rows.append(dict(k=k, delta=delta, t=t, d_mean=mean, d_stderr=stderr,
+                             ratio=t / mean))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return rows
 
 

@@ -1,21 +1,36 @@
 """Invalid input at the edges of the numeric range exits 2 with a
 one-line error, never with a traceback."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raysched import core
 from raysched.cli import console_main
 from raysched.core import CostModel, Excursion, SchedulePlan, SearchPlan
 from raysched.numopt import closed_form
-from raysched.sched_eval import contract_bound, preemption_bound
-from raysched.search_eval import turn_bound
+from raysched.sched_eval import (
+    acceleration_ratio,
+    contract_bound,
+    contract_count,
+    longest_completed,
+    preemption_bound,
+)
+from raysched.search_eval import competitive_ratio, rth_visit, turn_bound
 from raysched.stochastic import (
     DetectionModel,
     beta_r_closed_form,
     probabilistic_competitive_ratio,
 )
-from raysched.strategies import make_exponential_search
+from raysched.strategies import (
+    make_custom_schedule,
+    make_exponential_schedule,
+    make_exponential_search,
+)
 
 
 def _usage_error(argv, capsys):
@@ -121,3 +136,107 @@ def test_generator_overflow_becomes_the_range_error():
 def test_closed_form_bounds_reject_nan_base(bound):
     with pytest.raises(ValueError, match="base must be > 1"):
         bound(math.nan)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["opt-base", "--target", "beta-r", "--n", "1000000"], "OverflowError"),
+        (["curve-fig1", "--n-max", "1000000"], "OverflowError"),
+        (["sched-eval", "--strategy", "pseudo", "--n", "2", "--r", str(10**21)],
+         "OverflowError"),
+        (["prob-search", "--m", "2", "--p", "5e-324"], "ZeroDivisionError"),
+    ],
+    ids=["opt-base", "curve-fig1", "sched-eval", "prob-search"],
+)
+def test_arithmetic_errors_exit_2(argv, message, capsys):
+    assert _usage_error(argv, capsys).startswith(f"error: {message}: ")
+
+
+def test_a_walk_that_cannot_reach_its_time_stops_at_its_budget(monkeypatch):
+    monkeypatch.setattr(core, "MAX_WALK_JOBS", 1000)
+    plan = make_custom_schedule(1, lambda i: (0, 1.0))
+    assert contract_count(plan, 1000.0) == 1000
+    with pytest.raises(ValueError, match="time 1001.0 not reached within 1000 jobs"):
+        contract_count(plan, 1001.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: competitive_ratio(make_exponential_search(2, 1.001), rth_visit(2**63)),
+        lambda: competitive_ratio(make_exponential_search(2, 1.001), horizon=2**63),
+        lambda: acceleration_ratio(make_exponential_schedule(2, 1.001),
+                                   longest_completed(), 2**63),
+    ],
+    ids=["required-passes", "search-horizon", "schedule-horizon"],
+)
+def test_a_trajectory_stops_growing_at_its_budget(evaluate, monkeypatch):
+    """At a base near 1 nothing overflows before memory runs out."""
+    monkeypatch.setattr(core, "MAX_TRAJECTORY", 4096)
+    with pytest.raises(ValueError, match="more than the 4096 a trajectory may hold"):
+        evaluate()
+
+
+# Flag values at the edges of the numeric range, as a user would type
+# them; the ordinary ones keep the valid paths in play.
+_FLOATS = st.sampled_from([
+    "nan", "inf", "-inf", "0", "-0.0", "-1", "-1e300", "1e300",
+    "1.7976931348623157e308", "5e-324", "1e-300", "1", "0.9999999999",
+    "1.0000000001", "1.0000000000000002", "0.3", "1.5", "2", "3",
+])
+_INTS = st.sampled_from([
+    "nan", "inf", "-inf", "0", "-1", str(-(10**21)), str(10**21), str(2**63),
+    "1", "2", "3", "4",
+])
+_TRIALS = st.sampled_from(["nan", "inf", "0", "-1", "1", "2", "3", "1999", "2000"])
+_FUZZ_FLAGS = {
+    "search-eval": {"--strategy": st.sampled_from(["exponential", "nm", "geometric"]),
+                    "--m": _INTS, "--b": _FLOATS, "--r": _INTS,
+                    "--cost-model": st.sampled_from(["standard", "expanding"]),
+                    "--horizon": _INTS},
+    "sched-eval": {"--strategy": st.sampled_from(["exponential", "pseudo",
+                                                  "geometric-rr"]),
+                   "--n": _INTS, "--b": _FLOATS, "--r": _INTS,
+                   "--semantics": st.sampled_from(["longest", "r-completed",
+                                                   "rth-largest", "aggregate"]),
+                   "--horizon": _INTS},
+    "prob-search": {"--m": _INTS, "--p": _FLOATS, "--b": _FLOATS,
+                    "--direction": st.sampled_from(["both", "outward-only"]),
+                    "--horizon": _INTS},
+    "rand-sched": {"--n": _INTS, "--b": _FLOATS, "--trials": _TRIALS,
+                   "--seed": _INTS},
+    "opt-base": {"--target": st.sampled_from(["beta-r", "search", "sched"]),
+                 "--n": _INTS},
+    "tradeoff": {"--model": st.sampled_from(["preemptive", "contracts", "turns",
+                                             "turns-expanding"]),
+                 "--n": _INTS, "--m": _INTS, "--b": _FLOATS, "--t": _FLOATS},
+    "curve-fig1": {"--n-max": _INTS},
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(["csv", "json"]))]
+    for flag, values in _FUZZ_FLAGS[command].items():
+        # A required flag left out is a usage error too; rand-sched
+        # always gets a small trial count.
+        if flag == "--trials" or draw(st.integers(0, 4)):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_fuzz_argv())
+def test_fuzzed_flags_exit_0_or_2_without_a_traceback(argv):
+    """Every subcommand but claims.  The slowest draws run a walk to its
+    budget: about a second for 10^6 jobs, several for 10^6 turn-count
+    excursions."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()

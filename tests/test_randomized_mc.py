@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_mc as ref
+from raysched import stochastic
 from raysched.sched_eval import ell, longest_completed
 from raysched.stochastic import (
     DetectionModel,
@@ -51,6 +52,42 @@ def test_rank_slot_equals_the_sorted_permutation(
     rows = mc_randomized_schedule_detail(params, trials, seed)
     expected = ref.mc_randomized_schedule_detail(params, trials, seed)
     assert rows == expected
+    assert repr(rows) == repr(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slices=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=1, max_value=8),
+    b=st.floats(min_value=1.05, max_value=3.0),
+    epsilon_grid_size=st.integers(min_value=1, max_value=20),
+    quads=st.integers(min_value=1, max_value=500),
+    rest=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    deltas=st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_rows_do_not_depend_on_the_slice_count(
+    slices, n, b, epsilon_grid_size, quads, rest, seed, deltas
+):
+    """Forced to 1-4 slices of a trial count that is not a multiple of
+    4, so slices start inside a Philox block, and at n up to 8, so the
+    keys' stream offset trials + lo n moves with n."""
+    trials = 4 * quads + rest
+    params = RandomizedScheduleParams(
+        n=n,
+        b=b,
+        epsilon_grid_size=epsilon_grid_size,
+        t_grid=standard_t_grid(n, b, 2, tuple(deltas)),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "_MIN_SLICE", 1)
+        patch.setattr(stochastic, "_core_count", lambda: slices)
+        rows = mc_randomized_schedule_detail(params, trials, seed)
+    expected = ref.mc_randomized_schedule_detail(params, trials, seed)
     assert repr(rows) == repr(expected)
 
 
