@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from time import perf_counter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -397,7 +398,12 @@ def mc_randomized_schedule_detail(
     applies to them too.  The running-run check covers every trial and
     fails only once all slices of the point have finished, and the mean
     and standard error are taken over the whole vector.  The rows are
-    thus the same to the last bit for any number of cores."""
+    thus the same to the last bit for any number of slices.
+
+    A grid point that takes longer than its slices would have taken one
+    after another on the calling thread, timed by the calling thread's
+    own slice, shows that the other cores are taken, by other processes
+    or by the host: the rest of the call then runs as one slice."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -484,9 +490,14 @@ def mc_randomized_schedule_detail(
                 pool.submit(contextvars.copy_context().run, run_slice, idx, k, t, lo, hi)
                 for lo, hi in bounds[1:]
             ]
+            start = perf_counter()
             escaped = run_slice(idx, k, t, *bounds[0])
+            own = perf_counter() - start
             # Waits for every slice, and raises the first slice error.
-            if any([future.result() for future in futures]) or escaped:
+            escaped = any([future.result() for future in futures]) or escaped
+            if futures and perf_counter() - start > len(bounds) * own:
+                bounds = [(0, trials)]  # slower than this thread alone
+            if escaped:
                 raise AssertionError(
                     "running-run index fell outside {k-1, k} at "
                     f"grid point (k={k}, delta={delta})"

@@ -3,6 +3,8 @@ estimates against E[D] in closed form, its memory footprint, and the
 running-run index check that guards every trial, also when the trials
 are cut into slices that run on several threads."""
 
+import concurrent.futures
+import itertools
 import re
 import sys
 import threading
@@ -123,3 +125,31 @@ def test_many_slices_under_a_short_switch_interval(monkeypatch):
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
     assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 4_001, 5))
+
+
+@pytest.mark.parametrize(
+    "clock,split_points",
+    [(itertools.count, 6), (lambda: (2.0**i for i in itertools.count()), 1)],
+    ids=["slices-keep-up", "slices-fall-behind"],
+)
+def test_a_split_slower_than_one_thread_ends_the_split(clock, split_points, monkeypatch):
+    """The calling thread's clock is faked.  Ticks 0, 1, 2 per point: the
+    point took 2, no more than 2 slices of 1, so every point splits.
+    Ticks 1, 2, 4: it took 3, more than 2 slices of 1, so only the first
+    point splits.  The rows do not change."""
+    monkeypatch.setattr(stochastic, "_MIN_SLICE", 1)
+    monkeypatch.setattr(stochastic, "_core_count", lambda: 2)
+    ticks = clock()
+    monkeypatch.setattr(stochastic, "perf_counter", lambda: next(ticks))
+    submitted = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args):
+            submitted.append(args)
+            return super().submit(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    params = RandomizedScheduleParams(n=2, b=1.5, t_grid=standard_t_grid(2, 1.5, 3))
+    rows = mc_randomized_schedule_detail(params, 1_001, 7)
+    assert len(submitted) == split_points
+    assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 1_001, 7))
