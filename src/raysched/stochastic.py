@@ -341,11 +341,6 @@ class RandomizedScheduleParams:
         return (self.b**k - 1.0) / (self.b - 1.0) * self.b**delta
 
 
-# The fewest trials a slice of the randomized-schedule Monte Carlo takes
-# onto a thread of its own.
-_MIN_SLICE = 1 << 14
-
-
 def standard_t_grid(
     n: int, b: float, k_count: int = 12, deltas: tuple[float, ...] = (0.0, 0.5)
 ) -> tuple[tuple[int, float], ...]:
@@ -356,6 +351,11 @@ def standard_t_grid(
     return tuple(
         (k, delta) for k in range(n + 1, n + 1 + k_count) for delta in deltas
     )
+
+
+# A slice of the randomized-schedule Monte Carlo holds at least this many
+# trials, so a small call runs on the calling thread alone.
+_MIN_SLICE = 1 << 14
 
 
 def _core_count() -> int:
