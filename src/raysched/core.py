@@ -22,6 +22,8 @@ MAX_WALK_JOBS = 1_000_000
 # Entries a trajectory may hold: a horizon of 10^6 plus a target's pass
 # stream of as many excursions, at about 100 bytes an entry.
 MAX_TRAJECTORY = 1 << 21
+# Excursions a CyclicDepths computes ahead when read at one index.
+MEMO_BLOCK = 64
 
 
 class CostModel(Enum):
@@ -119,16 +121,24 @@ class CyclicDepths:
     once as a block function: depths(lo, hi) returns the inner and outer
     depth lists of excursions lo..hi-1, cut at the first index whose
     depth overflows float range.  Called with one index it is the plan's
-    per-index generator; SearchTrajectory reads tagged plans by block."""
+    per-index generator: it reads the excursion from the last block it
+    computed, and on a miss computes depths(i, i + MEMO_BLOCK); an index
+    past a block's cut misses and raises.  The memo is one (lo, inner,
+    outer) tuple, replaced whole, and takes no part in equality or
+    hashing.  SearchTrajectory reads tagged plans by block."""
 
     m: int
     depths: Callable[[int, int], tuple[list, list]]
+    _memo: tuple = field(default=(0, (), ()), init=False, compare=False, repr=False)
 
     def __call__(self, i: int) -> Excursion:
-        inner, outer = self.depths(i, i + 1)
-        if not outer:
-            raise OverflowError(f"depth of excursion {i} is out of float range")
-        return Excursion(ray=i % self.m, depth_inner=inner[0], depth_outer=outer[0])
+        lo, inner, outer = self._memo
+        if not 0 <= i - lo < len(outer):
+            lo, (inner, outer) = i, self.depths(i, i + MEMO_BLOCK)
+            object.__setattr__(self, "_memo", (lo, inner, outer))
+            if not outer:
+                raise OverflowError(f"depth of excursion {i} is out of float range")
+        return Excursion(ray=i % self.m, depth_inner=inner[i - lo], depth_outer=outer[i - lo])
 
 
 def excursion_cost(plan: SearchPlan, exc: Excursion) -> float:
@@ -180,7 +190,9 @@ class SearchTrajectory:
     CyclicDepths is read in blocks of its depth function, with the checks
     of Excursion and SearchPlan.excursion made on the arrays; any other
     plan (custom, or with its generator swapped) calls plan.excursion
-    once per index.  The first index that cannot be materialized (the plan
+    once per index, which a CyclicDepths answers from its memoized block.
+    Full columns are replaced by ones of twice the size, with the filled
+    prefix copied.  The first index that cannot be materialized (the plan
     raises, or cum leaves float range) ends the prefix, and its error is
     raised to every caller that needs it.  hint appends advice to the
     overflow message (excursion_prefix and competitive_ratio give it,
@@ -253,7 +265,9 @@ class SearchTrajectory:
         end = lo + n
         if end > len(self.ray):
             for name in ("ray", "_next", "inner", "outer", "cost", "cum"):
-                setattr(self, name, np.resize(getattr(self, name), 2 * end + 64))
+                grown = np.empty(2 * end + 64, dtype=getattr(self, name).dtype)
+                grown[:lo] = getattr(self, name)[:lo]
+                setattr(self, name, grown)
         for column, values in ((self.ray, ray), (self.inner, inner), (self.outer, outer),
                                (self.cost, cost), (self.cum, cum)):
             column[lo:end] = values[:n]

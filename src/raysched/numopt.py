@@ -78,6 +78,8 @@ def lemma_root(p: float) -> float:
         return math.exp(x) * ((1.0 - p) + p * p / (4.0 * x)) - 1.0
 
     hi = p / 2.0
+    if not hi > 1e-9:  # the bracket's left end
+        raise ValueError(f"p must be > 2e-09 for the root's bracket, got {p}")
     if f(hi) > 0:
         raise ValueError(f"no root at or below p/2 for p={p}")
     return bisect_root(f, Bracket(1e-9, hi, tol=1e-15))
@@ -146,7 +148,10 @@ def beta_r_closed_form(n: int, b: float) -> float:
     """Exact acceleration ratio n b^(n+1) ln b / ((b^n - 1)(b - 1)) of
     the randomized schedule."""
     _check_bound(b, n)
-    return n * b ** (n + 1) * math.log(b) / ((b**n - 1.0) * (b - 1.0))
+    try:
+        return n * b ** (n + 1) * math.log(b) / ((b**n - 1.0) * (b - 1.0))
+    except OverflowError:
+        raise ValueError(f"b ** (n + 1) overflows float range at n = {n}, b = {b}") from None
 
 
 def turn_bound(m: int, b: float, d: float, cost_model: CostModel) -> float:
@@ -252,6 +257,9 @@ def figure1_curve(n_max: int) -> list[tuple[int, float, float, float, float]]:
     rows: list[tuple[int, float, float, float, float]] = []
     for n in range(1, n_max + 1):
         beta_star = closed_form("sched-ratio-optimal", n=n)
-        b_star, value = beta_r_star(n)
+        try:
+            b_star, value = beta_r_star(n)
+        except ValueError as err:
+            raise ValueError(f"n_max = {n_max} is past the curve's range: {err}") from None
         rows.append((n, beta_star, value, b_star, value / beta_star))
     return rows

@@ -258,6 +258,8 @@ def expected_acc_ratio_mc_contracts(
             horizon=horizon,
             note="some problem never completes a run within the horizon",
         )
+    if p * (b - 1.0) == 0:  # the asymptotic's denominator
+        raise ValueError(f"p * (b - 1) underflows to 0 at p = {p}, b = {b}")
     q = 1.0 - p
     # Job j runs problem j % n.  Lengths grow along the schedule, so each
     # new completion is its problem's largest and the credit series

@@ -236,6 +236,8 @@ def expected_contracts(n: int, p: float, b: float, horizon: int) -> RatioReport:
             horizon=horizon,
             note="some problem never completes a run within the horizon",
         )
+    if p * (b - 1.0) == 0:  # the package names the input that zeroes the denominator
+        raise ValueError(f"p * (b - 1) underflows to 0 at p = {p}, b = {b}")
     asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
     limit_sup = None
     if p == 1.0:

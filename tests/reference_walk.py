@@ -20,8 +20,9 @@ from raysched.core import CostModel, ExcursionStep, SearchPlan, excursion_cost
 class LazyPrefix:
     """The plan's excursions with running costs, generated on first use."""
 
-    def __init__(self, plan: SearchPlan) -> None:
+    def __init__(self, plan: SearchPlan, advice: str = "") -> None:
         self.plan = plan
+        self.advice = advice  # appended to the cost overflow's message
         self.steps: list[ExcursionStep] = []
 
     def __getitem__(self, i: int) -> ExcursionStep:
@@ -31,7 +32,8 @@ class LazyPrefix:
             c = excursion_cost(self.plan, exc)
             cum = (self.steps[-1].cumulative_cost if self.steps else 0.0) + c
             if not math.isfinite(cum):
-                raise ValueError(f"cumulative cost overflowed at excursion {k}")
+                raise ValueError(f"cumulative cost overflowed at excursion {k}"
+                                 + self.advice)
             self.steps.append(ExcursionStep(exc, c, cum))
         return self.steps[i]
 
@@ -100,9 +102,10 @@ def stream(
 
 
 def competitive_sweep(plan: SearchPlan, r: int, horizon: int):
-    """(finite_sup, witness) of the frontier sweep for the r-th pass."""
+    """(finite_sup, witness) of the frontier sweep for the r-th pass; a
+    cost overflow carries competitive_ratio's advice."""
     m = plan.ray_count
-    prefix = LazyPrefix(plan)
+    prefix = LazyPrefix(plan, "; reduce the horizon or the growth base")
     count = horizon + ((r + 1) // 2 + 1) * m
     prefix[count - 1]
     best, witness = -math.inf, None

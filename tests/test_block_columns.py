@@ -4,12 +4,22 @@ errors included, and the block path must stay within what its caller
 may read."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from raysched.core import CyclicDepths, SearchPlan, SearchTrajectory, excursion_prefix
+from raysched.core import (
+    MEMO_BLOCK,
+    CyclicDepths,
+    Excursion,
+    SearchPlan,
+    SearchTrajectory,
+    excursion_prefix,
+)
 from raysched import search_eval
 from raysched.search_eval import competitive_ratio, cost_to_visit, rth_visit
 from raysched.search_eval import visit_cost_stream
@@ -270,3 +280,92 @@ def test_block_checks_keep_the_excursion_messages():
     for twin in (narrowed, _per_index(narrowed)):
         with pytest.raises(ValueError, match=message):
             excursion_prefix(twin, 3)
+
+
+# Indices on either side of the memo's block edges.
+_MEMO_EDGES = [0, 1, 62, 63, 64, 65, 66, 127, 128, 129, 191, 192, 193]
+
+
+@functools.lru_cache(maxsize=None)
+def _memo_bases(name, m):
+    """Ordinary bases, the two around the edge of a 100-excursion prefix
+    (the depth cut falls between the first two block edges) and one that
+    overflows at the third excursion or so."""
+    return (1.0000001, 1.3, 2.0, *_edge_bases(name, m, 100), 1e200)
+
+
+def _fresh_read(name, m, b, i):
+    """Excursion i's repr by a block of one on a generator that has read
+    nothing, or the message of its OverflowError."""
+    inner, outer = _family(name, m, b).generator.depths(i, i + 1)
+    if not outer:
+        return f"OverflowError: depth of excursion {i} is out of float range"
+    return repr(Excursion(ray=i % m, depth_inner=inner[0], depth_outer=outer[0]))
+
+
+def _read(generator, i):
+    try:
+        return repr(generator(i))
+    except OverflowError as err:
+        return f"OverflowError: {err}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(FAMILIES),
+    m=st.integers(min_value=2, max_value=5),
+    base=st.integers(min_value=0, max_value=5),
+    indices=st.lists(st.integers(min_value=0, max_value=200) | st.sampled_from(_MEMO_EDGES),
+                     min_size=1, max_size=40),
+    order=st.sampled_from(["ascending", "descending", "random", "repeated"]),
+)
+def test_memoized_reads_equal_a_fresh_block_of_one(name, m, base, indices, order):
+    """A generator read at one index after another returns what a fresh
+    one returns for that index alone, overflow included, and its memo
+    changes neither the plan's equality, its hash, nor a replaced copy."""
+    b = _memo_bases(name, m)[base]
+    plan = _family(name, m, b)
+    generator = plan.generator
+    if order == "ascending":
+        indices = sorted(indices)
+    elif order == "descending":
+        indices = sorted(indices, reverse=True)
+    elif order == "repeated":
+        indices = [i for i in indices for _ in range(3)]
+    before = hash(plan), repr(plan), hash(generator)
+    copy = dataclasses.replace(generator)
+    for i in indices:
+        assert _read(generator, i) == _fresh_read(name, m, b, i)
+    assert (hash(plan), repr(plan), hash(generator)) == before
+    assert plan == plan and plan == dataclasses.replace(plan)
+    replaced = dataclasses.replace(generator)
+    assert generator == copy == replaced and hash(replaced) == hash(generator)
+    for i in reversed(indices):
+        assert _read(replaced, i) == _read(copy, i) == _fresh_read(name, m, b, i)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_exponential_search(3, 1.4),
+    lambda: make_nm_search(2, 1.5, 3),
+    lambda: make_geometric_search(4, 1.2),
+], ids=["exponential", "nm", "geometric"])
+def test_custom_twins_read_one_depth_block_per_memo_block(factory):
+    """A work guard, not a timing: the twin still reads each excursion
+    once, in order, through its generator, and those reads cost at most
+    one depth block per MEMO_BLOCK excursions."""
+    plan, blocks = _recorded(factory())
+    reads = []
+
+    def generator(i):
+        reads.append(i)
+        return plan.generator(i)
+
+    twin = make_custom_search(plan.ray_count, generator, plan.cost_model, plan.traversals)
+    for r in (1, 2, 3):
+        blocks.clear()
+        reads.clear()
+        competitive_ratio(twin, rth_visit(r), 300)
+        furthest = max(reads)
+        assert reads == list(range(furthest + 1))
+        assert len(blocks) <= math.ceil(furthest / MEMO_BLOCK) + 1
+        assert all(hi - lo == MEMO_BLOCK for lo, hi in blocks)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from raysched import core
 from raysched.cli import console_main
 from raysched.core import CostModel, Excursion, SchedulePlan, SearchPlan
-from raysched.numopt import closed_form
+from raysched.claims import claim_ids
+from raysched.numopt import closed_form, lemma_root
 from raysched.sched_eval import (
     acceleration_ratio,
     contract_bound,
@@ -24,6 +25,7 @@ from raysched.search_eval import competitive_ratio, rth_visit, turn_bound
 from raysched.stochastic import (
     DetectionModel,
     beta_r_closed_form,
+    expected_acc_ratio_mc_contracts,
     probabilistic_competitive_ratio,
 )
 from raysched.strategies import (
@@ -141,16 +143,58 @@ def test_closed_form_bounds_reject_nan_base(bound):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["opt-base", "--target", "beta-r", "--n", "1000000"], "OverflowError"),
-        (["curve-fig1", "--n-max", "1000000"], "OverflowError"),
         (["sched-eval", "--strategy", "pseudo", "--n", "2", "--r", str(10**21)],
          "OverflowError"),
-        (["prob-search", "--m", "2", "--p", "5e-324"], "ZeroDivisionError"),
     ],
-    ids=["opt-base", "curve-fig1", "sched-eval", "prob-search"],
+    ids=["sched-eval"],
 )
 def test_arithmetic_errors_exit_2(argv, message, capsys):
     assert _usage_error(argv, capsys).startswith(f"error: {message}: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["opt-base", "--target", "beta-r", "--n", "1000000"],
+         "error: b ** (n + 1) overflows float range at n = 1000000, b = "),
+        (["curve-fig1", "--n-max", "1000000"],
+         "error: n_max = 1000000 is past the curve's range: b ** (n + 1) overflows "
+         "float range at n = 181, b = 50.0\n"),
+        (["prob-search", "--m", "2", "--p", "5e-324"],
+         "error: p must be > 2e-09 for the root's bracket, got 5e-324\n"),
+    ],
+    ids=["opt-base", "curve-fig1", "prob-search"],
+)
+def test_range_errors_name_the_input(argv, message, capsys):
+    """Arithmetic past float range inside a formula is reported as the
+    input that drove it there, not as a bare OverflowError or
+    ZeroDivisionError."""
+    assert _usage_error(argv, capsys).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: beta_r_closed_form(1000000, 1.5),
+         r"^b \*\* \(n \+ 1\) overflows float range at n = 1000000, b = 1.5$"),
+        (lambda: lemma_root(5e-324), r"^p must be > 2e-09 .*, got 5e-324$"),
+        (lambda: expected_acc_ratio_mc_contracts(1, 5e-324, 1.5, 2),
+         r"^p \* \(b - 1\) underflows to 0 at p = 5e-324, b = 1.5$"),
+    ],
+    ids=["beta-r", "lemma-root", "expected-contracts"],
+)
+def test_library_range_errors_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_values_at_the_edge_of_the_named_ranges_are_unchanged():
+    """The last inputs that evaluate keep their values: each check sits
+    only where the formula used to raise."""
+    assert lemma_root(math.nextafter(2e-9, 1)) == 1e-9  # bisection's left end
+    assert math.isinf(expected_acc_ratio_mc_contracts(1, 5e-324, 3.0, 2).asymptotic)
+    assert beta_r_closed_form(180, 50.0) == 180 * 50.0 ** 181 * math.log(50.0) / (
+        (50.0 ** 180 - 1.0) * 49.0)
 
 
 def test_a_walk_that_cannot_reach_its_time_stops_at_its_budget(monkeypatch):
@@ -237,6 +281,46 @@ def test_fuzzed_flags_exit_0_or_2_without_a_traceback(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = console_main(argv)
     assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+
+
+_CLAIM_IDS = claim_ids()
+_CLAIMS_FLAGS = {
+    "--subset": (st.sampled_from(_CLAIM_IDS)
+                 | st.sampled_from(_CLAIM_IDS).flatmap(
+                     lambda cid: st.integers(1, len(cid)).map(lambda k: cid[:k]))
+                 | st.sampled_from(["all", "asserted", "informational", "fig1,turn"])
+                 | st.text(max_size=6)),
+    "--trials": st.integers(1, 2000).map(str) | st.sampled_from(["0", "-1", str(2**63)]),
+    "--seed": (st.integers(0, 2**32).map(str)
+               | st.sampled_from(["-1", str(2**63), str(2**128), "nan"])),
+    "--horizon": st.integers(1, 2000).map(str) | st.sampled_from(["0", "-1", str(2**63)]),
+}
+
+
+@st.composite
+def _claims_argv(draw):
+    argv = ["claims", "--format", draw(st.sampled_from(["csv", "json"]))]
+    for flag, values in _CLAIMS_FLAGS.items():
+        # Left out, a flag takes its default (100000 trials for --trials).
+        if flag == "--trials" or draw(st.integers(0, 3)):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--strict")
+    return argv
+
+
+@settings(max_examples=20, deadline=None)
+@given(argv=_claims_argv())
+def test_fuzzed_claims_flags_exit_0_or_2_or_1_when_strict(argv):
+    """Exit 1 only from --strict finding a violated asserted row.  A
+    horizon past about 1000 exits 2 on the search rows' cost overflow."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = console_main(argv)
+    assert code in ((0, 1, 2) if "--strict" in argv else (0, 2)), (code, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()

@@ -71,6 +71,28 @@ def custom_plans(draw):
     return _jittered_plan(m, pattern, growth, cost_model, traversals)
 
 
+@st.composite
+def factory_twins(draw):
+    """A custom twin of a factory plan: the tag dropped, the factory's
+    CyclicDepths generator kept, so it is read one index at a time.
+    Bases from 1e9 up overflow within the sweeps below, some in the
+    generator and some in the cumulative cost; a geometric plan passes
+    each point once, so its stream walks to the overflow, which the
+    lowest base 1.5 keeps within a few thousand excursions."""
+    family = draw(st.sampled_from(["exponential", "nm", "geometric"]))
+    m = draw(st.integers(min_value=2, max_value=5))
+    b = draw(st.floats(min_value=1.5, max_value=3.0)
+             | st.floats(min_value=1e9, max_value=1e12)
+             | st.sampled_from([1e30, 1e200]))
+    if family == "exponential":
+        plan = make_exponential_search(m, b)
+    elif family == "geometric":
+        plan = make_geometric_search(m, b)
+    else:
+        plan = make_nm_search(m, b, draw(st.integers(min_value=1, max_value=3)))
+    return _custom_twin(plan)
+
+
 def _outcome(call):
     """What a sweep returns, or its error message: an overflow at the
     same excursion is the same outcome."""
@@ -92,16 +114,18 @@ _SPARSE_RAY = _jittered_plan(2, [(1, 1.0, 0.5)] + [(0, 1.0, 0.5)] * 7, 2.0,
                              CostModel.EXPANDING, 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @example(plan=_UNPASSED, r=1, extra=0)
-@given(plan=custom_plans(), r=st.integers(min_value=1, max_value=3),
+@given(plan=custom_plans() | factory_twins(), r=st.integers(min_value=1, max_value=3),
        extra=st.integers(min_value=0, max_value=40))
 def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
     horizon = plan.ray_count + extra
-    report = competitive_ratio(plan, rth_visit(r), horizon)
-    assert (report.finite_sup, report.witness) == ref.competitive_sweep(
-        plan, r, horizon
-    )
+
+    def sweep():
+        report = competitive_ratio(plan, rth_visit(r), horizon)
+        return report.finite_sup, report.witness
+
+    assert _outcome(sweep) == _outcome(lambda: ref.competitive_sweep(plan, r, horizon))
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,12 +163,12 @@ def _resweep_plan():
 @example(plan=_resweep_plan(), ray=0, point=0.9, beyond=False, outward_only=False,
          start=0, count=8)
 @given(
-    plan=custom_plans(),
-    ray=st.integers(min_value=0, max_value=3),
+    plan=custom_plans() | factory_twins(),
+    ray=st.integers(min_value=0, max_value=4),
     point=st.floats(min_value=0.01, max_value=30.0),
     beyond=st.booleans(),
     outward_only=st.booleans(),
-    start=st.integers(min_value=0, max_value=20),
+    start=st.integers(min_value=0, max_value=20) | st.just(40),
     count=st.integers(min_value=1, max_value=12),
 )
 def test_visit_cost_stream_equals_the_scalar_walk(
@@ -283,6 +307,28 @@ def test_per_index_links_equal_a_scalar_link(plan, reads):
         if read:
             _assert_linked(trajectory)
     _assert_linked(trajectory)
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["tagged", "custom"])
+def test_growth_in_blocks_keeps_every_column_of_a_single_fill(twin):
+    """Reads of 1 to 97 excursions cross every capacity edge up to 3000,
+    with next_same read between some of them; each growth keeps the
+    whole filled prefix."""
+    plan = make_nm_search(3, 1.01, 2)
+    if twin:
+        plan = _custom_twin(plan)
+    single = SearchTrajectory(plan)
+    single.reach(3000)
+    grown = SearchTrajectory(plan)
+    for step in itertools.cycle((1, 2, 97, 5, 64, 1, 33)):
+        if grown.size >= 3000:
+            break
+        grown.reach(min(grown.size + step, 3000))
+        if step == 5:
+            grown.next_same
+    assert grown.size == single.size == 3000
+    for name in ("ray", "inner", "outer", "cost", "cum", "next_same"):
+        assert getattr(grown, name)[:3000].tolist() == getattr(single, name)[:3000].tolist(), name
 
 
 @pytest.mark.parametrize("m, p, outward_only, horizon", [
