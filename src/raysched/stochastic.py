@@ -1,10 +1,14 @@
 """Stochastic evaluation: probabilistic detection, expected-credit
 scheduling, and the randomized schedule's measured acceleration ratio.
 
-Series evaluators are exact up to an explicit geometric tail cutoff;
-Monte Carlo estimators use counter-based seeding so results are
-deterministic for a given seed and independent of execution order and
-of the number of cores.
+Series evaluators are exact up to an explicit geometric tail cutoff.
+Monte Carlo estimators draw from Philox, a counter-based generator,
+seeded per call (and per grid point), so results are deterministic for
+a given seed.  The
+randomized schedule's grid points are dealt whole to up to four
+threads, and each point runs its trials in fixed-size chunks read in
+order from its stream, so its rows do not depend on the number of
+cores, threads or chunks.
 """
 
 from __future__ import annotations
@@ -13,15 +17,16 @@ import contextvars
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from time import perf_counter
 from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DEFAULT_HORIZON, McEstimate, RatioReport, SchedulePlan, SearchPlan
+from .core import DEFAULT_HORIZON, MAX_TRAJECTORY, McEstimate, RatioReport
+from .core import SchedulePlan, SearchPlan
 from .core import ScheduleTrajectory, SearchTrajectory
 from .numopt import beta_r_closed_form, lemma_root
 from .sched_eval import analytic_schedule_limits, longest_completed
@@ -179,6 +184,9 @@ def probabilistic_competitive_ratio(
         return RatioReport(
             finite_sup=math.inf, witness=None, horizon=horizon, note=reason
         )
+    if horizon > MAX_TRAJECTORY:  # before the sweep allocates the horizon
+        raise ValueError(f"horizon of {horizon} excursions requested, more than "
+                         f"the {MAX_TRAJECTORY} a trajectory may hold")
     p = model.p
     q = 1.0 - p
     outward = model.direction_rule is DirectionRule.OUTWARD_ONLY
@@ -355,9 +363,16 @@ def standard_t_grid(
     )
 
 
-# A slice of the randomized-schedule Monte Carlo holds at least this many
-# trials, so a small call runs on the calling thread alone.
+# Grid points go to more than one thread only at _MIN_SLICE trials or
+# more, and to at most trials // _MIN_SLICE threads.
 _MIN_SLICE = 1 << 14
+# At most this many threads run grid points; each holds one trial-length
+# vector.
+_MAX_WORKERS = 4
+# A grid point runs its trials in chunks of at most _CHUNK trials and
+# _CHUNK_KEYS keys.
+_CHUNK = 1 << 14
+_CHUNK_KEYS = 1 << 15
 
 
 def _core_count() -> int:
@@ -366,6 +381,25 @@ def _core_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _finish(b: float, j: int, b_eps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Finish time of run j, b^eps (b^j - 1)/(b - 1), into out."""
+    np.multiply(b_eps, b**j - 1.0, out=out)
+    return np.divide(out, b - 1.0, out=out)
+
+
+def _mean_and_stderr(d: np.ndarray) -> tuple[float, float]:
+    """np.mean(d) and np.std(d, ddof=1) / sqrt(d.size), to the last bit.
+    The deviations are taken in place, with np.std's own steps, so d is
+    overwritten and no temporary of its size is made."""
+    mean = float(np.add.reduce(d)) / d.size
+    if d.size == 1:
+        return mean, 0.0
+    np.subtract(d, mean, out=d)
+    np.square(d, out=d)
+    variance = float(np.add.reduce(d)) / (d.size - 1)
+    return mean, math.sqrt(variance) / math.sqrt(d.size)
 
 
 def mc_randomized_schedule_detail(
@@ -380,46 +414,46 @@ def mc_randomized_schedule_detail(
     times and checked on every trial to be k or k-1; the queried
     problem's most recent completed run is D.  The permutation is the
     argsort of n uniform keys, so the queried problem's slot in it is
-    the rank of its key: one draw matrix and no sort.  Epsilon is
-    sampled stratified over [0, 1).  Grid point idx draws from its own
-    stream, Philox seeded by ``SeedSequence(entropy=seed,
+    the rank of its key: a count of the keys below it, and no sort.
+    Epsilon is sampled stratified over [0, 1).  Grid point idx draws
+    from its own stream, Philox seeded by ``SeedSequence(entropy=seed,
     spawn_key=(idx,))``: first one epsilon per trial, then the trials'
     n keys row by row.  Rows are reproducible in any execution order.
 
-    A call allocates its work vectors once, and every grid point refills
-    them in place (``out=``).  The trials are cut into contiguous
-    slices, one per core the process may run on, each of at least
-    ``_MIN_SLICE`` trials (so a small call is one slice).  Philox is
-    counter-based, so slice [lo, hi) reads its epsilons from the point's
-    stream jumped to draw lo and its keys from the stream jumped to draw
-    trials + lo n: the same draws as one pass over all trials.  Slices
-    run the same elementwise float operations, in the same operand
-    order, on their views of the work vectors; the first runs on the
-    calling thread and the others on a pool that lives for the call, in
-    copies of the caller's context, so an ``np.errstate`` in force
-    applies to them too.  The running-run check covers every trial and
-    fails only once all slices of the point have finished, and the mean
-    and standard error are taken over the whole vector.  The rows are
-    thus the same to the last bit for any number of slices.
-
-    A grid point that takes longer than its slices would have taken one
-    after another on the calling thread, timed by the calling thread's
-    own slice, shows that the other cores are taken, by other processes
-    or by the host: the rest of the call then runs as one slice."""
+    A grid point runs start to finish on one thread.  Its trials go in
+    chunks of at most ``_CHUNK`` trials and ``_CHUNK_KEYS`` keys, which
+    read its epsilons in order from the stream at draw 0 and its keys
+    from the stream at draw ``trials``, and reuse the thread's
+    chunk-sized vectors; only D, the point's trial-length vector, holds
+    every trial, for the mean and the standard error (taken in place,
+    with ``np.std``'s own steps).  The points are dealt to up to
+    ``_MAX_WORKERS`` threads, no more than the cores the process may run
+    on nor than trials // ``_MIN_SLICE``: thread w runs points w, w + W,
+    w + 2W, ...  The calling thread is thread 0; the others run on a
+    pool that lives for the call, in copies of the caller's context, so
+    an ``np.errstate`` in force applies to them too.  A thread stops at
+    its first failing point, and the call raises the failure of the
+    lowest failing point once every thread is done, as one thread would.
+    The rows are the same to the last bit for any number of threads or
+    chunk size."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if trials > sys.maxsize // 8:
+        raise ValueError(
+            f"trials must be <= {sys.maxsize // 8}, the doubles a vector may "
+            f"hold, got {trials}"
+        )
     n, b = params.n, params.b
     grid_size = params.epsilon_grid_size
-    strata = (np.arange(trials) % grid_size).astype(float)
-    eps = np.empty(trials)
-    b_eps = np.empty(trials)
-    work = np.empty(trials)
-    at_k = np.empty(trials, dtype=bool)
-    mask = np.empty(trials, dtype=bool)
-    slot = np.empty(trials, dtype=np.intp)
-    keys = np.empty((trials, n))
+    chunk = max(1, min(_CHUNK, _CHUNK_KEYS // n, trials))
+    # Trial i's stratum is i % grid_size: a chunk from trial lo reads its
+    # strata from here at lo % grid_size.
+    strata = (np.arange(min(grid_size, trials) + chunk) % grid_size).astype(float)
+    points = len(params.t_grid)
+    workers = max(1, min(_core_count(), points, trials // _MIN_SLICE, _MAX_WORKERS))
+    rows: list[dict] = [{}] * points
 
     def stream(idx: int, draw: int) -> np.random.Generator:
         """Grid point idx's stream, positioned at its draw-th double."""
@@ -431,88 +465,87 @@ def mc_randomized_schedule_detail(
         rng.random(draw % 4)
         return rng
 
-    def run_slice(idx: int, k: int, t: float, lo: int, hi: int) -> bool:
-        """D of trials [lo, hi) of grid point idx into work[lo:hi].
-        Returns whether some trial's running run fell outside {k-1, k}."""
-        eps_, b_eps_, work_ = eps[lo:hi], b_eps[lo:hi], work[lo:hi]
-        at_k_, mask_, slot_ = at_k[lo:hi], mask[lo:hi], slot[lo:hi]
-
-        def finish(j: int) -> np.ndarray:
-            """Finish time of run j, b^eps (b^j - 1)/(b - 1), into work."""
-            np.multiply(b_eps_, b**j - 1.0, out=work_)
-            return np.divide(work_, b - 1.0, out=work_)
-
-        stream(idx, lo).random(out=eps_)
-        np.add(strata[lo:hi], eps_, out=eps_)
-        np.divide(eps_, grid_size, out=eps_)
-        np.power(b, eps_, out=b_eps_)
-        # The number of completed runs l satisfies finish(l) <= t <
-        # finish(l+1): l = k where at_k holds, k-1 elsewhere.  at_k settles
-        # one side of that bracket; the other side, t < finish(k+1) or
-        # finish(k-1) <= t, is checked on every trial.
-        np.less_equal(finish(k), t, out=at_k_)
-        np.less_equal(finish(k + 1), t, out=mask_)
-        if np.logical_and(mask_, at_k_, out=mask_).any():
-            return True
-        np.less_equal(finish(k - 1), t, out=mask_)
-        if not np.logical_or(mask_, at_k_, out=mask_).all():
-            return True
+    def run_point(idx: int, d: np.ndarray, vectors: tuple) -> dict:
+        """Grid point idx's row.  Its D goes into d, chunk by chunk
+        through the chunk-sized vectors."""
+        eps, b_eps, at_k, mask, slot, keys, below = vectors
+        k, delta = params.t_grid[idx]
+        t = params.query_time(k, delta)
         # The queried problem's last completed run has index
         # l - 1 - ((l - 1 - slot) mod n).  That takes 2n values, one per
-        # (l, slot), tabled here and looked up at n [l = k] + slot.  With
-        # n = 1, where the slot is 0, the keys are not drawn.
+        # (l, slot), tabled here and looked up at n [l = k] + slot.
         last_index = np.array(
             [runs - 1 - (runs - 1 - s) % n for runs in (k - 1, k) for s in range(n)],
             dtype=float,
         )
-        np.multiply(at_k_, n, out=slot_)
-        if n > 1:
-            keys_ = keys[lo:hi]
-            stream(idx, trials + lo * n).random(out=keys_)
-            for j in range(1, n):
-                np.less(keys_[:, j], keys_[:, 0], out=mask_)
-                np.add(slot_, mask_, out=slot_)
-        np.take(last_index, slot_, out=work_)
-        np.add(work_, eps_, out=work_)
-        np.power(b, work_, out=work_)
-        return False
-
-    slices = max(1, min(_core_count(), trials // _MIN_SLICE))
-    bounds = [(trials * i // slices, trials * (i + 1) // slices) for i in range(slices)]
-    pool = None
-    if slices > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(slices - 1)
-    rows: list[dict] = []
-    try:
-        for idx, (k, delta) in enumerate(params.t_grid):
-            t = params.query_time(k, delta)
-            futures = [
-                pool.submit(contextvars.copy_context().run, run_slice, idx, k, t, lo, hi)
-                for lo, hi in bounds[1:]
-            ]
-            start = perf_counter()
-            escaped = run_slice(idx, k, t, *bounds[0])
-            own = perf_counter() - start
-            # Waits for every slice, and raises the first slice error.
-            escaped = any([future.result() for future in futures]) or escaped
-            if futures and perf_counter() - start > len(bounds) * own:
-                bounds = [(0, trials)]  # slower than this thread alone
-            if escaped:
+        eps_draws, key_draws = stream(idx, 0), stream(idx, trials)
+        for lo in range(0, trials, chunk):
+            size = min(chunk, trials - lo)
+            d_, eps_, b_eps_ = d[lo:lo + size], eps[:size], b_eps[:size]
+            at_k_, mask_, slot_ = at_k[:size], mask[:size], slot[:size]
+            eps_draws.random(out=eps_)
+            np.add(strata[lo % grid_size:][:size], eps_, out=eps_)
+            np.divide(eps_, grid_size, out=eps_)
+            np.power(b, eps_, out=b_eps_)
+            # The number of completed runs l satisfies finish(l) <= t <
+            # finish(l+1): l = k where at_k holds, k-1 elsewhere.  at_k
+            # settles one side of that bracket; the other side, t <
+            # finish(k+1) or finish(k-1) <= t, is checked on every trial.
+            np.less_equal(_finish(b, k, b_eps_, d_), t, out=at_k_)
+            np.less_equal(_finish(b, k + 1, b_eps_, d_), t, out=mask_)
+            escaped = np.logical_and(mask_, at_k_, out=mask_).any()
+            np.less_equal(_finish(b, k - 1, b_eps_, d_), t, out=mask_)
+            if escaped or not np.logical_or(mask_, at_k_, out=mask_).all():
                 raise AssertionError(
                     "running-run index fell outside {k-1, k} at "
                     f"grid point (k={k}, delta={delta})"
                 )
-            mean = float(np.mean(work))
-            stderr = (
-                float(np.std(work, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            # The slot counts the keys below the queried problem's, key 0.
+            # With n = 1 it is 0 and no keys are drawn.
+            if n > 1:
+                key_draws.random(out=keys[:size])
+            np.less(keys[:size, 1:].T, keys[:size, 0], out=below[:, :size])
+            np.add.reduce(below[:, :size], axis=0, dtype=np.intp, out=slot_)
+            np.add(slot_, n, out=slot_, where=at_k_)
+            np.take(last_index, slot_, out=d_)
+            np.add(d_, eps_, out=d_)
+            np.power(b, d_, out=d_)
+        mean, stderr = _mean_and_stderr(d)
+        return dict(k=k, delta=delta, t=t, d_mean=mean, d_stderr=stderr,
+                    ratio=t / mean)
+
+    def run_points(first: int) -> Optional[tuple[int, Exception]]:
+        """Rows of grid points first, first + workers, ... on this
+        thread's own vectors.  Returns the index and the error of the
+        point it stopped at, if one failed."""
+        idx = first
+        try:
+            d = np.empty(trials)
+            vectors = (
+                np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool),
+                np.empty(chunk, dtype=bool), np.empty(chunk, dtype=np.intp),
+                np.empty((chunk, n)), np.empty((n - 1, chunk), dtype=bool),
             )
-            rows.append(dict(k=k, delta=delta, t=t, d_mean=mean, d_stderr=stderr,
-                             ratio=t / mean))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for idx in range(first, points, workers):
+                rows[idx] = run_point(idx, d, vectors)
+        except Exception as exc:  # raised by the caller, lowest point first
+            return idx, exc
+        return None
+
+    if workers == 1:
+        failures = [run_points(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, run_points, w)
+                for w in range(1, workers)
+            ]
+            failures = [run_points(0)] + [future.result() for future in futures]
+    failed = [failure for failure in failures if failure is not None]
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
     return rows
 
 

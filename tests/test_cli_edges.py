@@ -4,6 +4,7 @@ one-line error, never with a traceback."""
 import contextlib
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,14 @@ def test_arithmetic_errors_exit_2(argv, message, capsys):
     assert _usage_error(argv, capsys).startswith(f"error: {message}: ")
 
 
+# Counts past what numpy can index or a trajectory can hold, named
+# before anything is allocated.
+_TRIALS_PAST_INDEX = (f"error: trials must be <= {sys.maxsize // 8}, the doubles a "
+                      f"vector may hold, got {2**63}\n")
+_HORIZON_PAST_TRAJECTORY = (f"error: horizon of {2**63} excursions requested, more "
+                            f"than the {core.MAX_TRAJECTORY} a trajectory may hold\n")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -162,8 +171,19 @@ def test_arithmetic_errors_exit_2(argv, message, capsys):
          "float range at n = 181, b = 50.0\n"),
         (["prob-search", "--m", "2", "--p", "5e-324"],
          "error: p must be > 2e-09 for the root's bracket, got 5e-324\n"),
+        (["claims", "--trials", str(2**63)], _TRIALS_PAST_INDEX),
+        (["claims", "--subset", "randomized", "--trials", str(2**63)],
+         _TRIALS_PAST_INDEX),
+        (["rand-sched", "--n", "2", "--b", "1.5", "--trials", str(2**63)],
+         _TRIALS_PAST_INDEX),
+        (["claims", "--subset", "prob-search-lower", "--horizon", str(2**63)],
+         _HORIZON_PAST_TRAJECTORY),
+        (["prob-search", "--m", "2", "--p", "0.3", "--horizon", str(2**63)],
+         _HORIZON_PAST_TRAJECTORY),
     ],
-    ids=["opt-base", "curve-fig1", "prob-search"],
+    ids=["opt-base", "curve-fig1", "prob-search", "claims-trials",
+         "claims-randomized-trials", "rand-sched-trials", "claims-horizon",
+         "prob-search-horizon"],
 )
 def test_range_errors_name_the_input(argv, message, capsys):
     """Arithmetic past float range inside a formula is reported as the

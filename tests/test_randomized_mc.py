@@ -57,11 +57,12 @@ def test_rank_slot_equals_the_sorted_permutation(
 
 @settings(max_examples=100, deadline=None)
 @given(
-    slices=st.integers(min_value=1, max_value=4),
+    workers=st.integers(min_value=1, max_value=4),
+    chunk=st.integers(min_value=1, max_value=7),
     n=st.integers(min_value=1, max_value=8),
     b=st.floats(min_value=1.05, max_value=3.0),
     epsilon_grid_size=st.integers(min_value=1, max_value=20),
-    quads=st.integers(min_value=1, max_value=500),
+    quads=st.integers(min_value=1, max_value=100),
     rest=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     deltas=st.lists(
@@ -71,11 +72,12 @@ def test_rank_slot_equals_the_sorted_permutation(
     ),
 )
 def test_rows_do_not_depend_on_the_slice_count(
-    slices, n, b, epsilon_grid_size, quads, rest, seed, deltas
+    workers, chunk, n, b, epsilon_grid_size, quads, rest, seed, deltas
 ):
-    """Forced to 1-4 slices of a trial count that is not a multiple of
-    4, so slices start inside a Philox block, and at n up to 8, so the
-    keys' stream offset trials + lo n moves with n."""
+    """Forced to 1-4 threads and to chunks of 1-7 trials, of a trial
+    count that is not a multiple of 4, so chunks and the keys' stream at
+    draw trials start inside a Philox block, and at n up to 8, so a
+    chunk's keys start at a draw that moves with n."""
     trials = 4 * quads + rest
     params = RandomizedScheduleParams(
         n=n,
@@ -85,7 +87,8 @@ def test_rows_do_not_depend_on_the_slice_count(
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stochastic, "_MIN_SLICE", 1)
-        patch.setattr(stochastic, "_core_count", lambda: slices)
+        patch.setattr(stochastic, "_core_count", lambda: workers)
+        patch.setattr(stochastic, "_CHUNK", chunk)
         rows = mc_randomized_schedule_detail(params, trials, seed)
     expected = ref.mc_randomized_schedule_detail(params, trials, seed)
     assert repr(rows) == repr(expected)

@@ -1,10 +1,8 @@
 """The randomized schedule's Monte Carlo kernel on its own terms: its
 estimates against E[D] in closed form, its memory footprint, and the
-running-run index check that guards every trial, also when the trials
-are cut into slices that run on several threads."""
+running-run index check that guards every trial, also when the grid
+points run on several threads and their trials in many chunks."""
 
-import concurrent.futures
-import itertools
 import re
 import sys
 import threading
@@ -32,19 +30,44 @@ def test_d_mean_is_within_five_stderr_of_the_exact_value(n, b):
         assert abs(row["d_mean"] - exact) < 5 * row["d_stderr"], row
 
 
-@pytest.mark.parametrize("n,b", CATALOG_POINTS)
-def test_one_call_peaks_below_nine_plus_n_vectors(n, b):
-    """A call allocates its work vectors once; every grid point refills
-    them.  tracemalloc sees numpy's buffers, so the peak counts them."""
-    trials = 100_000
-    params = RandomizedScheduleParams(n=n, b=b, t_grid=standard_t_grid(n, b))
+def _peak_bytes(call) -> int:
+    """tracemalloc's peak over call(); it sees numpy's buffers, from every
+    thread."""
     tracemalloc.start()
     try:
-        mc_randomized_schedule_detail(params, trials, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (9 + n) * 8 * trials
+
+
+@pytest.mark.parametrize("n,b", CATALOG_POINTS)
+def test_one_call_peaks_below_nine_plus_n_vectors(n, b, monkeypatch):
+    """Each thread holds one trial-length vector and chunk-sized ones,
+    at 1, 2, 4 and 8 cores (at most 4 threads)."""
+    trials = 100_000
+    params = RandomizedScheduleParams(n=n, b=b, t_grid=standard_t_grid(n, b))
+    for cores in (1, 2, 4, 8):
+        monkeypatch.setattr(stochastic, "_core_count", lambda: cores)
+        peak = _peak_bytes(lambda: mc_randomized_schedule_detail(params, trials, 0))
+        assert peak < (9 + n) * 8 * trials, cores
+
+
+def test_many_keys_per_trial_stay_in_chunks():
+    """At n = 50,000 a chunk is one trial: its 50,000 keys, not the
+    point's 2,000 x 50,000 (800 MB)."""
+    n = 50_000
+    params = RandomizedScheduleParams(n=n, b=1.0001, t_grid=((n + 1, 0.5),))
+    peak = _peak_bytes(lambda: mc_randomized_schedule_detail(params, 2_000, 0))
+    assert peak < 64 * 2**20
+
+
+def test_key_chunks_keep_the_rows_at_n_300():
+    """At n = 300 a chunk holds 109 trials, so 1,000 trials cross nine
+    chunk edges."""
+    params = RandomizedScheduleParams(n=300, b=1.01, t_grid=standard_t_grid(300, 1.01, 2))
+    rows = mc_randomized_schedule_detail(params, 1_000, 4)
+    assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 1_000, 4))
 
 
 @pytest.mark.parametrize(
@@ -63,41 +86,67 @@ def test_running_run_index_check_survives(delta):
 
 
 @pytest.fixture
-def three_slices(monkeypatch):
-    """Cut every call of more than two trials into three slices, the
-    last two on pool threads, whatever the host's core count."""
+def three_workers(monkeypatch):
+    """Deal the grid points of any call of three or more trials to three
+    threads, the last two from the pool, whatever the host's core count,
+    in chunks of 7 trials."""
     monkeypatch.setattr(stochastic, "_MIN_SLICE", 1)
     monkeypatch.setattr(stochastic, "_core_count", lambda: 3)
+    monkeypatch.setattr(stochastic, "_CHUNK", 7)
+
+
+def _forced(n, b, grid_size, t_grid):
+    """Params with a t_grid forced past validation."""
+    params = RandomizedScheduleParams(
+        n=n, b=b, epsilon_grid_size=grid_size, t_grid=standard_t_grid(n, b)
+    )
+    object.__setattr__(params, "t_grid", t_grid)
+    return params
 
 
 @pytest.mark.parametrize(
-    "delta", [1.5, -0.5], ids=["past-finish-k-plus-1", "before-finish-k-minus-1"]
+    "delta", [1.25, -0.37], ids=["past-finish-k-plus-1", "before-finish-k-minus-1"]
 )
 def test_split_run_raises_the_same_check_and_leaves_no_thread(
-    delta, monkeypatch, three_slices
+    delta, monkeypatch, three_workers
 ):
-    """With one stratum per trial, epsilon grows with the trial index:
-    at delta = 1.5 only trials of the first slice (0-304 of 999) leave
-    {k-1, k}, at delta = -0.5 only trials of the last (823-998)."""
-    params = RandomizedScheduleParams(
-        n=2, b=1.5, epsilon_grid_size=999, t_grid=standard_t_grid(2, 1.5)
-    )
-    object.__setattr__(params, "t_grid", ((4, delta),))
+    """With one stratum per trial, epsilon grows with the trial index.
+    Of the 40 trials of point 1, on a pool thread, at delta = 1.25 only
+    trials 0-2 leave {k-1, k}, all in the first chunk (0-6); at delta =
+    -0.37 only trials 38-39, in the last chunk (35-39).  The other two
+    points pass."""
+    params = _forced(2, 1.5, 40, ((3, 0.5), (4, delta), (5, 0.5)))
     threads = threading.active_count()
     with pytest.raises(AssertionError) as split:
-        mc_randomized_schedule_detail(params, 999, 0)
+        mc_randomized_schedule_detail(params, 40, 0)
     assert threading.active_count() == threads
+    assert str(split.value) == f"running-run index fell outside {{k-1, k}} at " \
+                               f"grid point (k=4, delta={delta})"
     monkeypatch.setattr(stochastic, "_core_count", lambda: 1)
     with pytest.raises(AssertionError) as whole:
-        mc_randomized_schedule_detail(params, 999, 0)
+        mc_randomized_schedule_detail(params, 40, 0)
     assert str(split.value) == str(whole.value)
 
 
-def test_callers_errstate_applies_inside_every_slice(three_slices):
+def test_the_lowest_failing_point_is_raised(three_workers):
+    """Points 1 and 3 fail.  Point 1 runs on a pool thread, point 3 on
+    the calling thread after its point 0; point 1's error is raised, as
+    one thread running the points in order would raise it."""
+    params = _forced(2, 1.5, 40, ((3, 0.5), (4, 1.5), (5, 0.5), (5, 1.5)))
+    threads = threading.active_count()
+    with pytest.raises(AssertionError, match=re.escape("(k=4, delta=1.5)")):
+        mc_randomized_schedule_detail(params, 40, 0)
+    assert threading.active_count() == threads
+
+
+def test_callers_errstate_applies_inside_every_slice(three_workers):
     """At k = 645 and b = 3, b^(k+1) is finite but b^eps (b^(k+1) - 1)
-    overflows for most epsilons, in every slice.  The caller's errstate
-    must reach the pool threads, whose own context is numpy's default."""
-    params = RandomizedScheduleParams(n=2, b=3.0, t_grid=((645, 0.5),))
+    overflows for most epsilons, at each of the three points.  The
+    caller's errstate must reach the pool threads, whose own context is
+    numpy's default."""
+    params = RandomizedScheduleParams(
+        n=2, b=3.0, t_grid=((645, 0.5), (645, 0.25), (645, 0.75))
+    )
     callers = set()
     with np.errstate(over="call", call=lambda *_: callers.add(threading.get_ident())):
         mc_randomized_schedule_detail(params, 999, 0)
@@ -109,47 +158,20 @@ def test_callers_errstate_applies_inside_every_slice(three_slices):
 
 
 def test_many_slices_under_a_short_switch_interval(monkeypatch):
-    """Eight slices on any host, with the interpreter switching threads
-    every microsecond: slices that wrote into one another's part of the
-    shared vectors, or read a half-written part, would change the rows.
-    The call that returns leaves no thread behind."""
+    """Four threads on any host, in chunks of 5 trials, with the
+    interpreter switching threads every microsecond: threads that wrote
+    into one another's vectors, or read a half-written one, would change
+    the rows.  The call that returns leaves no thread behind."""
     monkeypatch.setattr(stochastic, "_MIN_SLICE", 1)
     monkeypatch.setattr(stochastic, "_core_count", lambda: 8)
+    monkeypatch.setattr(stochastic, "_CHUNK", 5)
     params = RandomizedScheduleParams(n=3, b=1.4, t_grid=standard_t_grid(3, 1.4, 6))
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = mc_randomized_schedule_detail(params, 4_001, 5)
+        rows = mc_randomized_schedule_detail(params, 1_001, 5)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
-    assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 4_001, 5))
-
-
-@pytest.mark.parametrize(
-    "clock,split_points",
-    [(itertools.count, 6), (lambda: (2.0**i for i in itertools.count()), 1)],
-    ids=["slices-keep-up", "slices-fall-behind"],
-)
-def test_a_split_slower_than_one_thread_ends_the_split(clock, split_points, monkeypatch):
-    """The calling thread's clock is faked.  Ticks 0, 1, 2 per point: the
-    point took 2, no more than 2 slices of 1, so every point splits.
-    Ticks 1, 2, 4: it took 3, more than 2 slices of 1, so only the first
-    point splits.  The rows do not change."""
-    monkeypatch.setattr(stochastic, "_MIN_SLICE", 1)
-    monkeypatch.setattr(stochastic, "_core_count", lambda: 2)
-    ticks = clock()
-    monkeypatch.setattr(stochastic, "perf_counter", lambda: next(ticks))
-    submitted = []
-
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, *args):
-            submitted.append(args)
-            return super().submit(*args)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    params = RandomizedScheduleParams(n=2, b=1.5, t_grid=standard_t_grid(2, 1.5, 3))
-    rows = mc_randomized_schedule_detail(params, 1_001, 7)
-    assert len(submitted) == split_points
-    assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 1_001, 7))
+    assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 1_001, 5))

@@ -1,7 +1,11 @@
 """Source hygiene: no package module imports another module's private
-names, and schedule jobs are read through one of the two walkers."""
+names, schedule jobs are read through one of the two walkers, and
+importing the package loads no thread pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "raysched"
@@ -50,3 +54,16 @@ def test_only_the_two_schedule_walkers_call_job_spec():
             if (path.name, name) not in JOB_READERS
         )
     assert offenders == []
+
+
+def test_importing_the_package_loads_no_thread_pool():
+    """The Monte Carlo imports its pool inside the call, so importing the
+    package and its CLI pays for neither concurrent.futures nor the
+    logging it pulls in."""
+    probe = ("import sys, raysched, raysched.cli; "
+             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded == "[]\n"
