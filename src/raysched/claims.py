@@ -22,10 +22,9 @@ from itertools import product
 from typing import Callable
 
 from .core import ClaimCheck, Relation, ScheduleTrajectory, check_claim
-from .numopt import beta_r_star, closed_form, figure1_curve, scan_golden_min
+from .numopt import beta_r_star, closed_form, closed_form_entry, figure1_curve, scan_golden_min
 from .search_eval import (
     FIRST_VISIT,
-    analytic_search_limits,
     competitive_ratio,
     cost_to_visit,
     rth_visit,
@@ -169,16 +168,12 @@ def _nm_best_limit(m: int, r: int, horizon: int) -> tuple[float, float]:
     """(base, measured ratio limit) minimizing the r-sweep plan's limit
     over bases.
 
-    The evaluator's closed-form limit of the family is minimized by a
-    coarse grid plus golden-section refinement; one sweep at the chosen
-    base then reports it, so RatioReport's finite_sup <= limit_sup guard
-    still checks the value against the walk."""
-
-    def g(b: float) -> float:
-        limit, _ = analytic_search_limits(make_nm_search(m, b, r), r)
-        return limit
-
-    b_star, _ = scan_golden_min(g, 4.0, 1e-9)
+    The family's derived limit in the table of closed forms is minimized
+    by a coarse grid plus golden-section refinement; one sweep at the
+    chosen base then reports it, so RatioReport's finite_sup <= limit_sup
+    guard still checks the value against the walk."""
+    limit = closed_form_entry(("nm", "rth-visit")).formula
+    b_star, _ = scan_golden_min(lambda b: limit(m, b, r, r), 4.0, 1e-9)
     report = competitive_ratio(make_nm_search(m, b_star, r), rth_visit(r), horizon)
     return b_star, report.limit_sup
 
@@ -470,6 +465,9 @@ def run_claim_catalog(config: ClaimConfig = ClaimConfig()) -> list[ClaimCheck]:
             continue
         for point in row.points:
             paper, measured, params = row.measure(run, row.claim_id, *point)
+            if paper is None or measured is None:  # an evaluator found no limit
+                raise ValueError(f"claim {row.claim_id} at {params} has no value "
+                                 f"within horizon {run.horizon}")
             tolerance = row.tolerance * paper if row.relative else row.tolerance
             checks.append(check_claim(
                 row.claim_id, paper, measured, row.relation, tolerance,

@@ -1,23 +1,26 @@
-"""Bracketed 1-D numerics and the table of published closed forms.
+"""Bracketed 1-D numerics and the one table of closed forms.
 
 Bisection and golden-section routines back the tuned-base root and the
-base optimizations.  The closed-form table stores each published bound
+base optimizations.  The table holds every closed form in the package,
+each entry stating its provenance, domain and shape (ClosedForm).
+Printed entries, keyed by catalog id, store each published bound
 exactly as displayed, even where measurement disagrees; disagreement
 is surfaced by the claim catalog, never patched here.  The count
 ceilings and the randomized-schedule ratio are written here once and
-serve both as table entries and as public functions.  The evaluators'
-own analytic limits of tagged plan families live with the evaluators
-and are kept independent of this table, so that the catalog can catch
-a wrong formula on either side.
+serve both as printed entries and as public functions.  Derived
+entries, keyed by (tag kind, semantics), are the analytic limits of the
+tagged plan families, which the evaluators read through family_limits.
+A derived entry never shares a formula with a printed one, so that the
+catalog can catch a wrong formula on either side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Union
 
-from .core import CostModel
+from .core import CostModel, SchedulePlan, SearchPlan
 
 
 @dataclass(frozen=True)
@@ -187,57 +190,170 @@ def _sched_ratio_base(n: int, b: float) -> float:
     return b ** (n + 1) / (b - 1.0)
 
 
-_CLOSED_FORMS: dict[str, Callable[..., float]] = {
-    # Worst-case ratios of the core strategy families; the printed and
-    # optimal forms are the base forms at the recorded optimal bases.
-    "search-ratio-printed": lambda m: _search_ratio_base(m, m / (m - 1.0)),
-    "search-ratio-base": _search_ratio_base,
-    "sched-ratio-optimal": lambda n: _sched_ratio_base(n, (n + 1.0) / n),
-    "sched-ratio-base": _sched_ratio_base,
+@dataclass(frozen=True)
+class ClosedForm:
+    """One entry of the table and its three facts.  Provenance: a
+    printed entry (derivation None) is verbatim as displayed in its
+    source, errors included; a derived one notes how it follows.  Domain:
+    the arguments where the formula holds; a printed entry holds wherever
+    its catalog rows evaluate it.  Shape: with asymptote None, candidate
+    ratios rise toward the value, so the supremum is the asymptote (a
+    printed entry is one value); otherwise the supremum sits at the first
+    phase and later candidates fall toward the asymptote."""
+
+    formula: Callable[..., float]
+    derivation: Optional[str] = None
+    domain: Callable[..., bool] = lambda *args: True
+    asymptote: Optional[Callable[..., float]] = None
+
+
+def _exp_search_limit(m: int, b: float, _: int, r: int) -> float:
+    k_pairs = (r + 1) // 2
+    if r % 2 == 1:
+        return 1.0 + 2.0 * b ** (k_pairs * m) / (b - 1.0)
+    return 2.0 * b ** (k_pairs * m + 1) / (b - 1.0) - 1.0
+
+
+def _nm_search_limit(m: int, b: float, big_r: int, r: int) -> float:
+    if big_r % 2 == 1:
+        steady = ((big_r + 1) * b**m - (big_r - 1)) / (b - 1.0)
+    else:
+        steady = (big_r * b**m - (big_r - 2)) / (b - 1.0)
+    if r % 2 == 1:
+        partial = 1.0 + (r - 1) * (b**m - 1.0)
+    else:
+        partial = 1.0 + r * (b**m - 1.0)
+    return steady + partial
+
+
+def _outward_detection_limit(m: int, b: float, _: int, p: float) -> float:
+    q = 1.0 - p
+    lam = q * b**m
+    return 1.0 + 2.0 * p * b**m / ((b - 1.0) * (1.0 - lam))
+
+
+def _two_way_detection_limit(m: int, b: float, _: int, p: float) -> float:
+    q = 1.0 - p
+    return 2.0 * p * b**m * (1.0 + q * b) / (
+        (b - 1.0) * (1.0 - q * q * b**m)
+    ) + p / (1.0 + q)
+
+
+def _converges(m: int, b: float, _: int, p: float) -> bool:
+    return (1.0 - p) * b**m < 1.0
+
+
+_TABLE: dict[object, ClosedForm] = {
+    # Printed, keyed by catalog id.  Worst-case ratios of the core
+    # strategy families; the printed and optimal forms are the base forms
+    # at the recorded optimal bases.
+    "search-ratio-printed": ClosedForm(lambda m: _search_ratio_base(m, m / (m - 1.0))),
+    "search-ratio-base": ClosedForm(_search_ratio_base),
+    "sched-ratio-optimal": ClosedForm(lambda n: _sched_ratio_base(n, (n + 1.0) / n)),
+    "sched-ratio-base": ClosedForm(_sched_ratio_base),
     # Probabilistic-detection bounds.
-    "prob-search-lower": lambda m, p: m / (2.0 * p),
-    "prob-search-upper": lambda m, p: 1.0 + 8.0 * m / (p * p),
-    "prob-sched-lower": lambda n, p: n / p,
-    "prob-sched-upper": lambda n, p: _E * n / p + _E / p,
+    "prob-search-lower": ClosedForm(lambda m, p: m / (2.0 * p)),
+    "prob-search-upper": ClosedForm(lambda m, p: 1.0 + 8.0 * m / (p * p)),
+    "prob-sched-lower": ClosedForm(lambda n, p: n / p),
+    "prob-sched-upper": ClosedForm(lambda n, p: _E * n / p + _E / p),
     # Redundant-answer (fault-tolerant) bounds.
-    "fault-search-lower": lambda m, r: r * m / 2.0,
-    "fault-search-upper": lambda m, r: 2.0 * _E * ((r + 1) // 2 * m - 1.0) + 1.0,
-    "nm-search-upper": lambda m, r: r * (m - 1.0) * (m / (m - 1.0)) ** m + 2.0 - r,
-    "pseudo-repeat-ratio": lambda n, r: r * n * ((n + 1.0) / n) ** (n + 1),
-    "rth-largest-ratio": lambda n, r: (r * n + 1.0)
-    * (1.0 + 1.0 / (r * n)) ** (r * n),
+    "fault-search-lower": ClosedForm(lambda m, r: r * m / 2.0),
+    "fault-search-upper": ClosedForm(lambda m, r: 2.0 * _E * ((r + 1) // 2 * m - 1.0) + 1.0),
+    "nm-search-upper": ClosedForm(lambda m, r: r * (m - 1.0) * (m / (m - 1.0)) ** m + 2.0 - r),
+    "pseudo-repeat-ratio": ClosedForm(lambda n, r: r * n * ((n + 1.0) / n) ** (n + 1)),
+    "rth-largest-ratio": ClosedForm(lambda n, r: (r * n + 1.0) * (1.0 + 1.0 / (r * n)) ** (r * n)),
     # Randomized schedule.
-    "randomized-ratio": beta_r_closed_form,
-    "randomized-ratio-asymptote": lambda n: (n + 1.0) * _E / (_E - 1.0),
+    "randomized-ratio": ClosedForm(beta_r_closed_form),
+    "randomized-ratio-asymptote": ClosedForm(lambda n: (n + 1.0) * _E / (_E - 1.0)),
     # Preemptive and standard accounting (round-robin and doubling).
-    "rr-worst": lambda n, b: n * (b + 1.0),
-    "rr-asymptotic": lambda n, b: n * b,
-    "preemption-ceiling": preemption_bound,
-    "contract-ceiling": contract_bound,
-    "expanding-search-worst": lambda m, b: (b + 1.0) * m,
-    "expanding-search-asymptotic": lambda m, b: b * m,
-    "turn-ceiling": lambda b, d: turn_bound(2, b, d, CostModel.STANDARD),
-    "expanding-turn-ceiling": lambda m, b, d: turn_bound(
-        m, b, d, CostModel.EXPANDING
-    ),
+    "rr-worst": ClosedForm(lambda n, b: n * (b + 1.0)),
+    "rr-asymptotic": ClosedForm(lambda n, b: n * b),
+    "preemption-ceiling": ClosedForm(preemption_bound),
+    "contract-ceiling": ClosedForm(contract_bound),
+    "expanding-search-worst": ClosedForm(lambda m, b: (b + 1.0) * m),
+    "expanding-search-asymptotic": ClosedForm(lambda m, b: b * m),
+    "turn-ceiling": ClosedForm(lambda b, d: turn_bound(2, b, d, CostModel.STANDARD)),
+    "expanding-turn-ceiling": ClosedForm(lambda m, b, d: turn_bound(m, b, d, CostModel.EXPANDING)),
+    # Derived, keyed by (tag kind, semantics): the limits the evaluators
+    # attach to tagged plans.  They never share a function with a printed
+    # entry, even where the formulas coincide, so that every catalog row
+    # compares two independently written expressions.
+    ("exponential", "rth-visit"): ClosedForm(
+        _exp_search_limit,
+        "r-th pass: on the ray's ceil(r/2)-th later excursion, out if r is odd, back if even"),
+    ("nm", "rth-visit"): ClosedForm(
+        _nm_search_limit,
+        "steady cost up to the target's next excursion, plus r of that one's R sweeps",
+        domain=lambda m, b, big_r, r: r <= big_r),
+    ("geometric", "rth-visit"): ClosedForm(
+        lambda m, b, _, r: (b + 1.0) * m,
+        "charged for new ground only; waits for phase p+1's segments, worst at p = 0",
+        domain=lambda m, b, _, r: r == 1,
+        asymptote=lambda m, b, _, r: b * m),
+    ("exponential", "outward-only"): ClosedForm(
+        _outward_detection_limit,
+        "each outward miss costs one more round of m excursions: a series in (1-p)b^m",
+        domain=_converges),
+    ("exponential", "both-directions"): ClosedForm(
+        _two_way_detection_limit,
+        "as outward-only, the inward pass a second chance: a series in (1-p)^2 b^m",
+        domain=_converges),
+    ("exponential", "longest-completed"): ClosedForm(
+        lambda n, b, _, r: b ** (n + 1) / (b - 1.0),
+        "query at run k's finish over run k-n's length: (b^(k+1)-1)/((b-1)b^(k-n))"),
+    ("exponential", "rth-largest-completed"): ClosedForm(
+        lambda n, b, _, r: b ** (r * n + 1) / (b - 1.0),
+        "as longest-completed, over the problem's r-th largest run, k-r*n"),
+    ("pseudo", "r-times-completed"): ClosedForm(
+        lambda n, b, repeats, r: max(b**n * (repeats / (b - 1.0) + r),
+                                     b ** (n - 1) * (repeats / (b - 1.0) + repeats)),
+        "worst at a phase's r-th repeat (over phase P-n) or last (over P+1-n)",
+        domain=lambda n, b, repeats, r: r <= repeats),
+    ("geometric-rr", "aggregate-interruptible"): ClosedForm(
+        lambda n, b, _, r: n * (b + 1.0),
+        "the next problem holds the earlier phases' time; worst at the first phase",
+        asymptote=lambda n, b, _, r: n * b),
 }
+
+
+def closed_form_entry(key: object) -> ClosedForm:
+    """The entry under a catalog id or a (tag kind, semantics) pair."""
+    return _TABLE[key]
 
 
 def closed_form(claim_id: str, **params: float) -> float:
     """Evaluate a published bound by its catalog id, verbatim as
     displayed in its source.  Raises KeyError for unknown ids."""
-    try:
-        fn = _CLOSED_FORMS[claim_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown claim id {claim_id!r}; known: {sorted(_CLOSED_FORMS)}"
-        ) from None
-    return fn(**params)
+    entry = _TABLE.get(claim_id)
+    if entry is None or entry.derivation is not None:
+        raise KeyError(f"unknown claim id {claim_id!r}; known: {closed_form_ids()}")
+    return entry.formula(**params)
 
 
 def closed_form_ids() -> list[str]:
     """All catalog ids, sorted."""
-    return sorted(_CLOSED_FORMS)
+    return sorted(key for key, entry in _TABLE.items() if entry.derivation is None)
+
+
+def family_limits(
+    plan: Union[SearchPlan, SchedulePlan], semantics: str, size: int, x: float
+) -> Optional[tuple[float, float]]:
+    """(limit_sup, asymptotic) of a tagged plan's family from the entry
+    keyed by (tag kind, semantics), or None where there is none, the tag
+    has no base or the point is outside the entry's domain.  A derived
+    entry is called as (size, base, redundancy, x): the plan's rays or
+    problems, the tag's base and redundancy (sweeps per excursion or
+    repeats per length), and the semantics' parameter (required passes,
+    rank or repeats, or the detection probability)."""
+    tag = plan.tag
+    entry = _TABLE.get((tag.kind, semantics))
+    if entry is None or tag.base is None:
+        return None
+    args = (size, tag.base, tag.redundancy, x)
+    if not entry.domain(*args):
+        return None
+    value = entry.formula(*args)
+    return value, value if entry.asymptote is None else entry.asymptote(*args)
 
 
 def beta_r_star(n: int) -> tuple[float, float]:

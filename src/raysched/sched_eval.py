@@ -3,9 +3,10 @@
 Acceleration ratios are measured by sweeping query times placed just
 after job completions, crediting each problem only with work finished
 strictly before the query, and taking the worst time-to-credit ratio
-over all problems.  Preemption and contract counts live here too;
-their logarithmic ceilings are defined with the closed-form table in
-numopt and re-exported here.
+over all problems.  Tagged plans get their family's analytic limit from
+the table of closed forms in numopt.  Preemption and contract counts
+live here too; their logarithmic ceilings are defined with that table
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from .core import DEFAULT_HORIZON, RatioReport, SchedulePlan, ScheduleTrajectory, jobs_before
-from .numopt import contract_bound, preemption_bound  # noqa: F401  (re-exported)
+from .numopt import contract_bound, family_limits, preemption_bound  # noqa: F401  (re-exported)
 
 
 class SemanticsKind(Enum):
@@ -178,13 +178,14 @@ def acceleration_ratio(
         )
     worst = int(seq.argmax())  # the first, as a strict > sweep keeps it
     best, witness = float(seq[worst]), float(finish[scored][worst])
-    limit_sup, asymptotic = analytic_schedule_limits(plan, semantics)
-    if limit_sup is None:
+    limits = family_limits(plan, semantics.kind.value, n, semantics.r)
+    if limits is None:
+        limit_sup = None
         asymptotic = float(seq[-max(1, len(seq) // 4):].max())
         convergence_gap = abs(float(seq[-1]) - float(seq[len(seq) // 2]))
     else:
-        reference = asymptotic if asymptotic is not None else limit_sup
-        convergence_gap = abs(reference - float(seq[-min(len(seq), n):].max()))
+        limit_sup, asymptotic = limits
+        convergence_gap = abs(asymptotic - float(seq[-min(len(seq), n):].max()))
     note = None
     if skipped:
         note = (
@@ -200,44 +201,6 @@ def acceleration_ratio(
         convergence_gap=convergence_gap,
         note=note,
     )
-
-
-def analytic_schedule_limits(
-    plan: SchedulePlan, semantics: ScheduleSemantics
-) -> tuple[Optional[float], Optional[float]]:
-    """(limit_sup, asymptotic) for tagged plan families, or (None, None).
-
-    Exponential and repeated-phase schedules have candidate ratios that
-    increase toward their supremum; the interruptible round-robin's
-    worst candidate is the earliest full phase and later phases decay
-    toward a smaller asymptote.
-    """
-    tag = plan.tag
-    b = tag.base
-    n = plan.problem_count
-    if b is None:
-        return None, None
-    kind = semantics.kind
-    r = semantics.r
-    if tag.kind == "exponential":
-        if kind is SemanticsKind.LONGEST_COMPLETED:
-            value = b ** (n + 1) / (b - 1.0)
-            return value, value
-        if kind is SemanticsKind.RTH_LARGEST_COMPLETED:
-            value = b ** (r * n + 1) / (b - 1.0)
-            return value, value
-        return None, None
-    if tag.kind == "pseudo" and kind is SemanticsKind.R_TIMES_COMPLETED:
-        repeats = tag.redundancy
-        if r <= repeats:
-            at_rth_repeat = b**n * (repeats / (b - 1.0) + r)
-            at_last_repeat = b ** (n - 1) * (repeats / (b - 1.0) + repeats)
-            value = max(at_rth_repeat, at_last_repeat)
-            return value, value
-        return None, None
-    if tag.kind == "geometric-rr" and kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
-        return n * (b + 1.0), n * b
-    return None, None
 
 
 def contract_count(plan: SchedulePlan, t: float) -> int:

@@ -4,9 +4,10 @@ The evaluator simulates the exact walk of a plan move by move, counts
 passes over target points in both movement directions, and sweeps the
 worst-case candidate targets (just beyond each excursion's frontier) to
 estimate the competitive ratio.  Plans built by the standard factories
-carry tags that let the sweep attach an exact analytic supremum.  Turn
-counting lives here too; its ceiling turn_bound is defined with the
-closed-form table in numopt and re-exported here.
+carry tags that let the sweep attach an exact analytic supremum, read
+from the table of closed forms in numopt.  Turn counting lives here
+too; its ceiling turn_bound is defined with that table and re-exported
+here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import (
     SearchPlan,
     SearchTrajectory,
 )
-from .numopt import turn_bound  # noqa: F401  (re-exported)
+from .numopt import family_limits, turn_bound  # noqa: F401  (turn_bound re-exported)
 
 
 @dataclass(frozen=True)
@@ -199,46 +200,6 @@ def cost_to_visit(
     return next(itertools.islice(passes, k - 1, None), math.inf)
 
 
-def analytic_search_limits(
-    plan: SearchPlan, required_visits: int
-) -> tuple[Optional[float], Optional[float]]:
-    """(limit_sup, asymptotic) for tagged plan families, or (None, None).
-
-    For the exponential family the candidate ratio increases toward its
-    limit, so the supremum equals the asymptotic value.  Same for the
-    re-sweeping family when the required visit count does not exceed the
-    per-excursion sweep count.  For the expanding phase plan the
-    supremum sits at the first phase and the per-phase worst ratio
-    decreases toward a smaller asymptote.
-    """
-    tag = plan.tag
-    b = tag.base
-    m = plan.ray_count
-    r = required_visits
-    if tag.kind == "exponential" and b is not None:
-        k_pairs = (r + 1) // 2
-        if r % 2 == 1:
-            value = 1.0 + 2.0 * b ** (k_pairs * m) / (b - 1.0)
-        else:
-            value = 2.0 * b ** (k_pairs * m + 1) / (b - 1.0) - 1.0
-        return value, value
-    if tag.kind == "nm" and b is not None and r <= plan.traversals:
-        big_r = plan.traversals
-        if big_r % 2 == 1:
-            steady = ((big_r + 1) * b**m - (big_r - 1)) / (b - 1.0)
-        else:
-            steady = (big_r * b**m - (big_r - 2)) / (b - 1.0)
-        if r % 2 == 1:
-            partial = 1.0 + (r - 1) * (b**m - 1.0)
-        else:
-            partial = 1.0 + r * (b**m - 1.0)
-        value = steady + partial
-        return value, value
-    if tag.kind == "geometric" and b is not None and r == 1:
-        return (b + 1.0) * m, b * m
-    return None, None
-
-
 def competitive_ratio(
     plan: SearchPlan,
     semantics: SearchSemantics = FIRST_VISIT,
@@ -282,23 +243,21 @@ def competitive_ratio(
         )
     j = int(reached[np.argmax(ratio_array)])
     best_witness = (j, int(trajectory.ray[j]), float(trajectory.outer[j]))
-    limit_sup, asymptotic = analytic_search_limits(plan, r)
     notes: list[str] = []
-    convergence_gap: Optional[float] = None
     unreachable = horizon - reached.size
     if unreachable:
         notes.append(
             f"{unreachable} candidate(s) not passed the required number of "
             "times within the horizon; supremum reflects the rest"
         )
-    tail = ratios[-min(len(ratios), m):]
-    if limit_sup is not None:
-        reference = asymptotic if asymptotic is not None else limit_sup
-        convergence_gap = abs(reference - max(tail))
-        scale = max(1.0, abs(reference))
-        if convergence_gap > 0.01 * scale:
+    limits = family_limits(plan, "rth-visit", m, r)
+    if limits is not None:
+        limit_sup, asymptotic = limits
+        convergence_gap = abs(asymptotic - max(ratios[-min(len(ratios), m):]))
+        if convergence_gap > 0.01 * max(1.0, abs(asymptotic)):
             notes.append("tail has not converged to the analytic value yet")
     else:
+        limit_sup = None
         quartile = ratios[-max(1, len(ratios) // 4):]
         asymptotic = max(quartile)
         convergence_gap = abs(ratios[-1] - ratios[len(ratios) // 2])

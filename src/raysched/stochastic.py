@@ -28,8 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import DEFAULT_HORIZON, MAX_TRAJECTORY, McEstimate, RatioReport
 from .core import SchedulePlan, SearchPlan
 from .core import ScheduleTrajectory, SearchTrajectory
-from .numopt import beta_r_closed_form, lemma_root
-from .sched_eval import analytic_schedule_limits, longest_completed
+from .numopt import beta_r_closed_form, family_limits, lemma_root
+from .sched_eval import SemanticsKind
 from .search_eval import frontier_passes, visit_cost_stream
 from .strategies import make_exponential_schedule
 
@@ -188,7 +188,6 @@ def probabilistic_competitive_ratio(
         raise ValueError(f"horizon of {horizon} excursions requested, more than "
                          f"the {MAX_TRAJECTORY} a trajectory may hold")
     p = model.p
-    q = 1.0 - p
     outward = model.direction_rule is DirectionRule.OUTWARD_ONLY
     # Every candidate's series is summed term by term in pass order, all
     # candidates at once; np.sum would reorder the additions.  The weights
@@ -205,31 +204,13 @@ def probabilistic_competitive_ratio(
     j = int(np.argmax(ratios))
     best = float(ratios[j])
     witness = (j, int(trajectory.ray[j]), float(trajectory.outer[j]))
-    last_ratio = float(ratios[-1])
-    limit_sup = None
-    asymptotic = None
-    tag = plan.tag
-    if tag.kind == "exponential" and tag.base is not None:
-        b = tag.base
-        lam = q * b**m
-        if outward:
-            value = 1.0 + 2.0 * p * b**m / ((b - 1.0) * (1.0 - lam))
-        else:
-            value = 2.0 * p * b**m * (1.0 + q * b) / (
-                (b - 1.0) * (1.0 - q * q * b**m)
-            ) + p / (1.0 + q)
-        limit_sup = asymptotic = value
-    convergence_gap = None
-    if asymptotic is not None:
-        convergence_gap = abs(asymptotic - last_ratio)
-    return RatioReport(
-        finite_sup=best,
-        witness=witness,
-        horizon=horizon,
-        limit_sup=limit_sup,
-        asymptotic=asymptotic,
-        convergence_gap=convergence_gap,
-    )
+    limits = family_limits(plan, model.direction_rule.value, m, p)
+    if limits is None:
+        return RatioReport(finite_sup=best, witness=witness, horizon=horizon)
+    limit_sup, asymptotic = limits
+    return RatioReport(finite_sup=best, witness=witness, horizon=horizon,
+                       limit_sup=limit_sup, asymptotic=asymptotic,
+                       convergence_gap=abs(asymptotic - float(ratios[-1])))
 
 
 def expected_acc_ratio_mc_contracts(
@@ -285,9 +266,8 @@ def expected_acc_ratio_mc_contracts(
     j = int(np.argmax(ratios))
     best, witness = float(ratios[j]), float(trajectory.finish[n + j])
     asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
-    limit_sup = None
-    if p == 1.0:
-        limit_sup, _ = analytic_schedule_limits(plan, longest_completed())
+    longest = SemanticsKind.LONGEST_COMPLETED.value
+    limit_sup = family_limits(plan, longest, n, 1)[0] if p == 1.0 else None
     return RatioReport(
         finite_sup=best,
         witness=witness,

@@ -1,7 +1,7 @@
 """Factories for the standard plan families.
 
 Each factory returns a tagged SearchPlan or SchedulePlan; the tag lets
-the evaluators attach the matching closed-form limit. Custom plans can
+the evaluators attach the matching limit from numopt's table. Custom plans can
 be built through make_custom_search / make_custom_schedule, which skip
 the tagging and get purely numeric evaluation.
 """
@@ -203,29 +203,13 @@ def make_geometric_rr_schedule(n: int, b: float) -> SchedulePlan:
     )
 
 
-def make_randomized_schedule(n: int, b: float, seed: int = 0) -> SchedulePlan:
-    """Randomized exponential round-robin: a uniform phase offset
-    epsilon in [0, 1) stretches every length to b^(i + epsilon), and a
-    uniform random permutation fixes which problem each residue class
-    mod n serves.
-
-    The randomness is drawn once at construction from a counter-based
-    generator, so the returned plan is deterministic given the seed.
-    """
-    if n < 1:
-        raise ValueError(f"need at least 1 problem, got {n}")
-    _require_base(b)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    permutation = tuple(int(x) for x in rng.permutation(n))
-    epsilon = float(rng.random())
-    return make_randomized_schedule_explicit(n, b, permutation, epsilon)
-
-
 def make_randomized_schedule_explicit(
     n: int, b: float, permutation: Sequence[int], epsilon: float
 ) -> SchedulePlan:
-    """The randomized round-robin plan with its random choices pinned,
-    for reproducible evaluation and testing."""
+    """The randomized round-robin plan with its random choices pinned:
+    the phase offset epsilon in [0, 1) stretches every length to
+    b^(i + epsilon), and the permutation fixes which problem each
+    residue class mod n serves."""
     if n < 1:
         raise ValueError(f"need at least 1 problem, got {n}")
     _require_base(b)

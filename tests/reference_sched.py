@@ -30,12 +30,8 @@ import math
 from typing import Optional
 
 from raysched.core import Job, RatioReport, SchedulePlan
-from raysched.sched_eval import (
-    ScheduleSemantics,
-    SemanticsKind,
-    analytic_schedule_limits,
-    longest_completed,
-)
+from raysched.numopt import family_limits
+from raysched.sched_eval import ScheduleSemantics, SemanticsKind
 from raysched.strategies import make_exponential_schedule
 
 
@@ -187,13 +183,14 @@ def acceleration_ratio(
             horizon=horizon,
             note="some problem never accumulates credit within the horizon",
         )
-    limit_sup, asymptotic = analytic_schedule_limits(plan, semantics)
-    if limit_sup is None:
+    limits = family_limits(plan, semantics.kind.value, n, semantics.r)
+    if limits is None:
+        limit_sup = None
         asymptotic = max(seq[-max(1, len(seq) // 4):])
         convergence_gap = abs(seq[-1] - seq[len(seq) // 2])
     else:
-        reference = asymptotic if asymptotic is not None else limit_sup
-        convergence_gap = abs(reference - max(seq[-min(len(seq), n):]))
+        limit_sup, asymptotic = limits
+        convergence_gap = abs(asymptotic - max(seq[-min(len(seq), n):]))
     note = None
     if skipped:
         note = (
@@ -241,7 +238,7 @@ def expected_contracts(n: int, p: float, b: float, horizon: int) -> RatioReport:
     asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
     limit_sup = None
     if p == 1.0:
-        limit_sup, _ = analytic_schedule_limits(plan, longest_completed())
+        limit_sup, _ = family_limits(plan, SemanticsKind.LONGEST_COMPLETED.value, n, 1)
     return RatioReport(
         finite_sup=best,
         witness=witness,

@@ -7,7 +7,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raysched import core
@@ -180,10 +180,16 @@ _HORIZON_PAST_TRAJECTORY = (f"error: horizon of {2**63} excursions requested, mo
          _HORIZON_PAST_TRAJECTORY),
         (["prob-search", "--m", "2", "--p", "0.3", "--horizon", str(2**63)],
          _HORIZON_PAST_TRAJECTORY),
+        (["claims", "--horizon", "3"],
+         "error: claim sched-ratio-optimal at n=3 b=1.33333 has no value within "
+         "horizon 3\n"),
+        (["claims", "--subset", "pseudo-repeat-ratio", "--horizon", "12"],
+         "error: claim pseudo-repeat-ratio at n=4 r=3 b=1.25 has no value within "
+         "horizon 12\n"),
     ],
     ids=["opt-base", "curve-fig1", "prob-search", "claims-trials",
          "claims-randomized-trials", "rand-sched-trials", "claims-horizon",
-         "prob-search-horizon"],
+         "prob-search-horizon", "claims-short-horizon", "claims-pseudo-short-horizon"],
 )
 def test_range_errors_name_the_input(argv, message, capsys):
     """Arithmetic past float range inside a formula is reported as the
@@ -334,6 +340,7 @@ def _claims_argv(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(argv=_claims_argv())
+@example(argv=["claims", "--format", "csv", "--trials", "1", "--horizon", "3"])
 def test_fuzzed_claims_flags_exit_0_or_2_or_1_when_strict(argv):
     """Exit 1 only from --strict finding a violated asserted row.  A
     horizon past about 1000 exits 2 on the search rows' cost overflow."""

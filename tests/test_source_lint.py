@@ -1,6 +1,7 @@
 """Source hygiene: no package module imports another module's private
-names, schedule jobs are read through one of the two walkers, and
-importing the package loads no thread pool."""
+names, schedule jobs are read through one of the two walkers, a plan's
+family is read from its tag only by the table's lookup and a few known
+readers, and importing the package loads no thread pool."""
 
 import ast
 import os
@@ -52,6 +53,38 @@ def test_only_the_two_schedule_walkers_call_job_spec():
             f"{path.name}:{line} calls job_spec in {name}"
             for name, line in _job_spec_callers(tree)
             if (path.name, name) not in JOB_READERS
+        )
+    assert offenders == []
+
+
+# The table's lookup reads a plan's family from its tag; besides it, only
+# the trajectories (block paths for factory plans) and the detection
+# sweep's divergence test read the tag's kind or base.
+TAG_READERS = {("numopt.py", "family_limits"), ("core.py", "SearchTrajectory"),
+               ("core.py", "ScheduleTrajectory"), ("stochastic.py", "_unbounded_reason")}
+
+
+def _tag_readers(tree):
+    """Names of the top-level definitions that read .kind or .base of a
+    tag: an attribute named tag, or a variable named tag."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Attribute) and node.attr in ("kind", "base")):
+                continue
+            owner = node.value
+            if ((isinstance(owner, ast.Attribute) and owner.attr == "tag")
+                    or (isinstance(owner, ast.Name) and owner.id == "tag")):
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_only_the_table_lookup_and_known_readers_read_a_tags_family():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{line} reads a tag's kind or base in {name}"
+            for name, line in _tag_readers(tree)
+            if (path.name, name) not in TAG_READERS
         )
     assert offenders == []
 

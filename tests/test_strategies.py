@@ -12,7 +12,6 @@ from raysched.strategies import (
     make_geometric_search,
     make_nm_search,
     make_pseudo_exponential_schedule,
-    make_randomized_schedule,
     make_randomized_schedule_explicit,
     optimal_base_schedule,
     optimal_base_search,
@@ -105,17 +104,6 @@ class TestGeometricRrSchedule:
 
 
 class TestRandomizedSchedule:
-    def test_same_seed_same_plan(self):
-        a = make_randomized_schedule(3, 2.0, seed=5)
-        b = make_randomized_schedule(3, 2.0, seed=5)
-        assert a.tag.permutation == b.tag.permutation
-        assert a.tag.epsilon == b.tag.epsilon
-
-    def test_different_seeds_differ(self):
-        a = make_randomized_schedule(3, 2.0, seed=5)
-        b = make_randomized_schedule(3, 2.0, seed=6)
-        assert a.tag.epsilon != b.tag.epsilon
-
     def test_explicit_lengths(self):
         plan = make_randomized_schedule_explicit(2, 2.0, (1, 0), 0.5)
         problem, length = plan.job_spec(3)
