@@ -9,6 +9,7 @@ randomness, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -369,6 +370,7 @@ def _add_common_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raysched",

@@ -8,7 +8,8 @@ a given seed.  The
 randomized schedule's grid points are dealt whole to up to four
 threads, and each point runs its trials in fixed-size chunks read in
 order from its stream, so its rows do not depend on the number of
-cores, threads or chunks.
+cores, threads or chunks.  Its trials read finish times off per-point
+thresholds on b^eps, exactly, as rounding is monotone.
 """
 
 from __future__ import annotations
@@ -363,10 +364,18 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _finish(b: float, j: int, b_eps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Finish time of run j, b^eps (b^j - 1)/(b - 1), into out."""
-    np.multiply(b_eps, b**j - 1.0, out=out)
-    return np.divide(out, b - 1.0, out=out)
+def _threshold(b: float, j: int, t: float) -> float:
+    """The largest double x >= 0 with (x * (b^j - 1)) / (b - 1) <= t in
+    doubles: run j's finish time at b^eps = x."""
+    scale, c = b**j - 1.0, b - 1.0
+    if t == math.inf:
+        return t
+    x = min(t / scale * c, sys.float_info.max / scale)  # a few ulps off
+    while x * scale / c > t:
+        x = math.nextafter(x, 0.0)
+    while (up := math.nextafter(x, math.inf)) * scale / c <= t:
+        x = up
+    return x
 
 
 def _mean_and_stderr(d: np.ndarray) -> tuple[float, float]:
@@ -390,11 +399,16 @@ def mc_randomized_schedule_detail(
     Each row estimates E[D], the returned-run length at query time t,
     by sampling the schedule's random permutation and offset: run i has
     length b^(i+epsilon) and serves the permutation's (i mod n)-th
-    problem.  The count of completed runs is found from the finish
-    times and checked on every trial to be k or k-1; the queried
-    problem's most recent completed run is D.  The permutation is the
-    argsort of n uniform keys, so the queried problem's slot in it is
-    the rank of its key: a count of the keys below it, and no sort.
+    problem.  Run j has finished by t when (b^eps (b^j - 1)) / (b - 1),
+    in doubles, is at most t.  Both roundings are monotone, so that
+    holds exactly when b^eps is at most x_j, the largest double for
+    which it does, found once per point.  A trial compares b^eps with
+    x_k, and a chunk its least and greatest b^eps with the other two,
+    which checks on every trial that the count of completed runs is k
+    or k-1.  The queried problem's most recent completed run is D.  The
+    permutation is the argsort of n uniform keys, so the queried
+    problem's slot in it is the rank of its key: a count of the keys
+    below it, and no sort.
     Epsilon is sampled stratified over [0, 1).  Grid point idx draws
     from its own stream, Philox seeded by ``SeedSequence(entropy=seed,
     spawn_key=(idx,))``: first one epsilon per trial, then the trials'
@@ -448,34 +462,31 @@ def mc_randomized_schedule_detail(
     def run_point(idx: int, d: np.ndarray, vectors: tuple) -> dict:
         """Grid point idx's row.  Its D goes into d, chunk by chunk
         through the chunk-sized vectors."""
-        eps, b_eps, at_k, mask, slot, keys, below = vectors
+        eps, b_eps, at_k, slot, keys, below = vectors
         k, delta = params.t_grid[idx]
         t = params.query_time(k, delta)
+        x_before, x_k, x_after = (_threshold(b, j, t) for j in (k - 1, k, k + 1))
         # The queried problem's last completed run has index
         # l - 1 - ((l - 1 - slot) mod n).  That takes 2n values, one per
-        # (l, slot), tabled here and looked up at n [l = k] + slot.
+        # (l, slot), tabled here and looked up at 2 slot + [l = k].
         last_index = np.array(
-            [runs - 1 - (runs - 1 - s) % n for runs in (k - 1, k) for s in range(n)],
+            [runs - 1 - (runs - 1 - s) % n for s in range(n) for runs in (k - 1, k)],
             dtype=float,
         )
         eps_draws, key_draws = stream(idx, 0), stream(idx, trials)
         for lo in range(0, trials, chunk):
             size = min(chunk, trials - lo)
             d_, eps_, b_eps_ = d[lo:lo + size], eps[:size], b_eps[:size]
-            at_k_, mask_, slot_ = at_k[:size], mask[:size], slot[:size]
+            at_k_, slot_ = at_k[:size], slot[:size]
             eps_draws.random(out=eps_)
             np.add(strata[lo % grid_size:][:size], eps_, out=eps_)
             np.divide(eps_, grid_size, out=eps_)
             np.power(b, eps_, out=b_eps_)
             # The number of completed runs l satisfies finish(l) <= t <
-            # finish(l+1): l = k where at_k holds, k-1 elsewhere.  at_k
-            # settles one side of that bracket; the other side, t <
-            # finish(k+1) or finish(k-1) <= t, is checked on every trial.
-            np.less_equal(_finish(b, k, b_eps_, d_), t, out=at_k_)
-            np.less_equal(_finish(b, k + 1, b_eps_, d_), t, out=mask_)
-            escaped = np.logical_and(mask_, at_k_, out=mask_).any()
-            np.less_equal(_finish(b, k - 1, b_eps_, d_), t, out=mask_)
-            if escaped or not np.logical_or(mask_, at_k_, out=mask_).all():
+            # finish(l+1): l = k where at_k holds, k-1 elsewhere, which
+            # the chunk's least and greatest b^eps check for every trial.
+            np.less_equal(b_eps_, x_k, out=at_k_)
+            if b_eps_.min() <= min(x_k, x_after) or b_eps_.max() > max(x_before, x_k):
                 raise AssertionError(
                     "running-run index fell outside {k-1, k} at "
                     f"grid point (k={k}, delta={delta})"
@@ -486,7 +497,8 @@ def mc_randomized_schedule_detail(
                 key_draws.random(out=keys[:size])
             np.less(keys[:size, 1:].T, keys[:size, 0], out=below[:, :size])
             np.add.reduce(below[:, :size], axis=0, dtype=np.intp, out=slot_)
-            np.add(slot_, n, out=slot_, where=at_k_)
+            np.add(slot_, slot_, out=slot_)
+            np.add(slot_, at_k_, out=slot_)
             np.take(last_index, slot_, out=d_)
             np.add(d_, eps_, out=d_)
             np.power(b, d_, out=d_)
@@ -501,11 +513,9 @@ def mc_randomized_schedule_detail(
         idx = first
         try:
             d = np.empty(trials)
-            vectors = (
-                np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool),
-                np.empty(chunk, dtype=bool), np.empty(chunk, dtype=np.intp),
-                np.empty((chunk, n)), np.empty((n - 1, chunk), dtype=bool),
-            )
+            vectors = (np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool),
+                       np.empty(chunk, dtype=np.intp), np.empty((chunk, n)),
+                       np.empty((n - 1, chunk), dtype=bool))
             for idx in range(first, points, workers):
                 rows[idx] = run_point(idx, d, vectors)
         except Exception as exc:  # raised by the caller, lowest point first

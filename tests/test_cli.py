@@ -281,6 +281,32 @@ class TestDeterminism:
             assert first == second
 
 
+class TestBackToBackCalls:
+    """One process builds the parser once; a call leaves nothing behind
+    for the next."""
+
+    def test_repeated_flag_starts_empty_on_the_next_call(self, capsys):
+        argv = ("tradeoff", "--model", "preemptive", "--n", "2", "--b", "2")
+        code, out, _ = run_cli(capsys, *argv, "--t", "1", "--t", "2")
+        assert code == 0 and len(rows_of(out)) == 2
+        code, out, _ = run_cli(capsys, *argv, "--t", "3")
+        assert code == 0 and len(rows_of(out)) == 1
+
+    def test_usage_error_then_a_good_call(self, capsys):
+        good = run_cli(capsys, "sched-eval", "--n", "2")
+        code, _, err = run_cli(capsys, "sched-eval", "--n", "2", "--bogus")
+        assert code == 2 and "unrecognized arguments: --bogus" in err
+        assert run_cli(capsys, "sched-eval", "--n", "2") == good
+        assert good[0] == 0 and good[2] == ""
+
+    def test_help_then_a_good_call(self, capsys):
+        good = run_cli(capsys, "opt-base", "--target", "beta-r", "--n", "2")
+        code, out, _ = run_cli(capsys, "opt-base", "--help")
+        assert code == 0 and out.startswith("usage: raysched opt-base")
+        assert run_cli(capsys, "opt-base", "--target", "beta-r", "--n", "2") == good
+        assert good[0] == 0 and good[2] == ""
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "raysched", "search-eval", "--m", "2", "--b", "2"],

@@ -1,8 +1,10 @@
 """The randomized schedule's Monte Carlo kernel on its own terms: its
-estimates against E[D] in closed form, its memory footprint, and the
+estimates against E[D] in closed form, the per-point thresholds that
+stand in for the finish times, its memory footprint, and the
 running-run index check that guards every trial, also when the grid
 points run on several threads and their trials in many chunks."""
 
+import math
 import re
 import sys
 import threading
@@ -28,6 +30,88 @@ def test_d_mean_is_within_five_stderr_of_the_exact_value(n, b):
     for row in mc_randomized_schedule_detail(params, 100_000, 0):
         exact = ref.exact_d_mean(n, b, row["k"], row["delta"])
         assert abs(row["d_mean"] - exact) < 5 * row["d_stderr"], row
+
+
+def _finish(b, j, b_eps):
+    """Finish time of run j, (b^eps (b^j - 1)) / (b - 1), as the kernel
+    computed it before the thresholds."""
+    with np.errstate(over="ignore"):
+        return np.multiply(b_eps, b**j - 1.0) / (b - 1.0)
+
+
+def _bisected_threshold(b, j, t):
+    """The largest double x >= 0 with finish <= t, by bisection on the
+    bit patterns of the doubles from 0 to inf, which sort as integers;
+    one case per entry of the lists b, j and t, all bisected at once."""
+    scale = np.array([b_**j_ - 1.0 for b_, j_ in zip(b, j)])
+    c, t = np.array(b) - 1.0, np.array(t)
+    lo = np.zeros(len(t), dtype=np.int64)  # finish(0) = 0 <= t
+    hi = np.full(len(t), np.float64(np.inf).view(np.int64) + 1)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        with np.errstate(over="ignore"):
+            ok = mid.view(np.float64) * scale / c <= t
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo.view(np.float64)
+
+
+def _random_cases(rng, count):
+    """count (b, j) pairs: b - 1 log-uniform on [1e-9, 9], j at 1-50, up
+    to the float-range edge, or at the edge itself."""
+    cases = []
+    for _ in range(count):
+        b = 1.0 + 10.0 ** rng.uniform(-9.0, math.log10(9.0))
+        edge = int(math.log(sys.float_info.max) / math.log(b)) + 1
+        while True:  # the largest j with b^j in float range
+            try:
+                b**edge
+                break
+            except OverflowError:
+                edge -= 1
+        j = int(rng.choice([rng.integers(1, 51), rng.integers(1, edge + 1),
+                            rng.integers(max(1, edge - 3), edge + 1)]))
+        cases.append((b, j))
+    return cases
+
+
+def test_thresholds_match_a_bisection_on_the_bit_patterns():
+    """t sits on exact finish times, of x = b^u 2^e, and on their
+    neighbours one ulp either side."""
+    rng = np.random.default_rng(17)
+    bs, js, ts = [], [], []
+    for b, j in _random_cases(rng, 700):
+        x = b ** rng.uniform() * 2.0 ** rng.integers(-30, 31)
+        on = float(_finish(b, j, x))
+        for t in (math.nextafter(on, 0.0), on, math.nextafter(on, math.inf)):
+            bs.append(b), js.append(j), ts.append(t)
+    assert len(ts) >= 2_000
+    expected = _bisected_threshold(bs, js, ts)
+    got = [stochastic._threshold(b, j, t) for b, j, t in zip(bs, js, ts)]
+    assert got == expected.tolist()
+
+
+def test_thresholds_decide_the_finish_comparison():
+    """At the kernel's own query times, b_eps <= x_j gives the old
+    finish-time comparison on every b_eps, x_j and the doubles either
+    side of it included."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for b, j in _random_cases(rng, 500):
+        k = max(2, j + int(rng.integers(-1, 2)))
+        try:
+            t = RandomizedScheduleParams(n=1, b=b, t_grid=((k, 0.5),)).query_time(
+                k, rng.uniform()
+            )
+        except ValueError:  # b^(k+1) past float range
+            continue
+        x = stochastic._threshold(b, j, t)
+        b_eps = np.concatenate([
+            np.power(b, rng.uniform(size=64)),
+            [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)],
+        ])
+        assert np.array_equal(b_eps <= x, _finish(b, j, b_eps) <= t), (b, j, t)
+        checked += 1
+    assert checked >= 300
 
 
 def _peak_bytes(call) -> int:
@@ -140,8 +224,8 @@ def test_the_lowest_failing_point_is_raised(three_workers):
 
 
 def test_callers_errstate_applies_inside_every_slice(three_workers):
-    """At k = 645 and b = 3, b^(k+1) is finite but b^eps (b^(k+1) - 1)
-    overflows for most epsilons, at each of the three points.  The
+    """At k = 645 and b = 3, every D is finite but the sum of 999 of
+    them overflows, at each of the three points.  The
     caller's errstate must reach the pool threads, whose own context is
     numpy's default."""
     params = RandomizedScheduleParams(
