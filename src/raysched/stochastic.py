@@ -9,7 +9,8 @@ randomized schedule's grid points are dealt whole to up to four
 threads, and each point runs its trials in fixed-size chunks read in
 order from its stream, so its rows do not depend on the number of
 cores, threads or chunks.  Its trials read finish times off per-point
-thresholds on b^eps, exactly, as rounding is monotone.
+thresholds on b^eps, exactly, as rounding is monotone, compared on
+epsilon: only trials near a threshold's logarithm take b^eps.
 """
 
 from __future__ import annotations
@@ -327,6 +328,11 @@ class RandomizedScheduleParams:
                     f"grid point (k={k}, delta={delta}) breaks the "
                     "running-run index invariant"
                 )
+            if not math.isfinite(self.query_time(k, delta)):
+                raise ValueError(
+                    f"grid point (k={k}, delta={delta}) query time overflowed "
+                    f"float range at base {b}; reduce the base"
+                )
 
     def query_time(self, k: int, delta: float) -> float:
         return (self.b**k - 1.0) / (self.b - 1.0) * self.b**delta
@@ -350,10 +356,13 @@ _MIN_SLICE = 1 << 14
 # At most this many threads run grid points; each holds one trial-length
 # vector.
 _MAX_WORKERS = 4
-# A grid point runs its trials in chunks of at most _CHUNK trials and
-# _CHUNK_KEYS keys.
-_CHUNK = 1 << 14
-_CHUNK_KEYS = 1 << 15
+# A call's threads run their points' trials in chunks of, together, at
+# most _CHUNK trials and _CHUNK_KEYS keys.
+_CHUNK = 1 << 16
+_CHUNK_KEYS = 1 << 17
+# b^eps <= x is decided on eps <= log_b(x), except within _GUARD / ln b
+# of it, where np.power decides.
+_GUARD = 2.0**-30
 
 
 def _core_count() -> int:
@@ -378,17 +387,44 @@ def _threshold(b: float, j: int, t: float) -> float:
     return x
 
 
+def _power_at_most(b: float, eps: np.ndarray, x: float, out: np.ndarray,
+                   scratch: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """np.power(b, eps) <= x, for x > 0, into out, on float and bool
+    work vectors of eps's size.  Where |eps - e| > w, for e = ln x / ln b
+    and w = _GUARD / ln b, it is eps <= e: e is within 2^-41 / ln b of
+    log_b(x), so b^eps is over 2^-31 relative from x, and np.power,
+    within 2^-31 of b^eps (2^-40 in the tests), rounds to x's same side.
+    Only the trials within w of e take the power."""
+    e, w = math.log(x) / math.log(b), _GUARD / math.log(b)
+    np.less_equal(eps, e, out=out)
+    np.subtract(eps, e, out=scratch)
+    np.absolute(scratch, out=scratch)
+    np.less_equal(scratch, w, out=band)
+    if band.any():
+        out[band] = np.power(b, eps[band]) <= x
+    return out
+
+
 def _mean_and_stderr(d: np.ndarray) -> tuple[float, float]:
-    """np.mean(d) and np.std(d, ddof=1) / sqrt(d.size), to the last bit.
-    The deviations are taken in place, with np.std's own steps, so d is
-    overwritten and no temporary of its size is made."""
+    """np.mean(d) and np.std(d, ddof=1) / sqrt(d.size), to the last bit,
+    for d >= 0.  The deviations are taken in place, with np.std's own
+    steps, so d is overwritten and no temporary of its size is made.
+    Deviations whose squares could pass float range are scaled by 2^-s
+    first, and the standard error by 2^s after, exactly."""
     mean = float(np.add.reduce(d)) / d.size
     if d.size == 1:
         return mean, 0.0
     np.subtract(d, mean, out=d)
+    # Deviations under 2^limit square and sum in range.  As d >= 0, none
+    # passes twice the sum, so only a large mean needs their peak.
+    limit = (1023 - d.size.bit_length()) // 2
+    s = max(0, math.frexp(mean)[1] + d.size.bit_length() + 1 - limit)
+    if s:
+        s = max(0, math.frexp(max(-float(d.min()), float(d.max())))[1] - limit)
+        np.ldexp(d, -s, out=d)
     np.square(d, out=d)
     variance = float(np.add.reduce(d)) / (d.size - 1)
-    return mean, math.sqrt(variance) / math.sqrt(d.size)
+    return mean, math.ldexp(math.sqrt(variance) / math.sqrt(d.size), s)
 
 
 def mc_randomized_schedule_detail(
@@ -401,11 +437,13 @@ def mc_randomized_schedule_detail(
     length b^(i+epsilon) and serves the permutation's (i mod n)-th
     problem.  Run j has finished by t when (b^eps (b^j - 1)) / (b - 1),
     in doubles, is at most t.  Both roundings are monotone, so that
-    holds exactly when b^eps is at most x_j, the largest double for
-    which it does, found once per point.  A trial compares b^eps with
-    x_k, and a chunk its least and greatest b^eps with the other two,
-    which checks on every trial that the count of completed runs is k
-    or k-1.  The queried problem's most recent completed run is D.  The
+    holds exactly when np.power(b, eps) is at most x_j, the largest
+    double for which it does, found once per point; and that is decided
+    on eps against log_b(x_j), with b^eps taken only within about
+    2^-30 / ln b of it (``_power_at_most``).  A trial is compared with
+    x_k, and a chunk's least and greatest eps with the other two, which
+    checks on every trial that the count of completed runs is k or k-1.
+    The queried problem's most recent completed run is D.  The
     permutation is the argsort of n uniform keys, so the queried
     problem's slot in it is the rank of its key: a count of the keys
     below it, and no sort.
@@ -415,21 +453,22 @@ def mc_randomized_schedule_detail(
     n keys row by row.  Rows are reproducible in any execution order.
 
     A grid point runs start to finish on one thread.  Its trials go in
-    chunks of at most ``_CHUNK`` trials and ``_CHUNK_KEYS`` keys, which
-    read its epsilons in order from the stream at draw 0 and its keys
-    from the stream at draw ``trials``, and reuse the thread's
-    chunk-sized vectors; only D, the point's trial-length vector, holds
-    every trial, for the mean and the standard error (taken in place,
-    with ``np.std``'s own steps).  The points are dealt to up to
-    ``_MAX_WORKERS`` threads, no more than the cores the process may run
-    on nor than trials // ``_MIN_SLICE``: thread w runs points w, w + W,
-    w + 2W, ...  The calling thread is thread 0; the others run on a
-    pool that lives for the call, in copies of the caller's context, so
-    an ``np.errstate`` in force applies to them too.  A thread stops at
-    its first failing point, and the call raises the failure of the
-    lowest failing point once every thread is done, as one thread would.
-    The rows are the same to the last bit for any number of threads or
-    chunk size."""
+    chunks, of at most ``_CHUNK`` trials and ``_CHUNK_KEYS`` keys split
+    among the call's threads, which read its epsilons in order from the
+    stream at draw 0 and its keys from the stream at draw ``trials``,
+    and reuse the thread's chunk-sized vectors; only D, the point's
+    trial-length vector, holds every trial, for the mean and the
+    standard error (taken in place, with ``np.std``'s own steps, and
+    scaled where the squares would pass float range).  The points are
+    dealt to up to ``_MAX_WORKERS`` threads, no more than the cores the
+    process may run on nor than trials // ``_MIN_SLICE``: thread w runs
+    points w, w + W, w + 2W, ...  The calling thread is thread 0; the
+    others run on a pool that lives for the call, in copies of the
+    caller's context, so an ``np.errstate`` in force applies to them
+    too.  A thread stops at its first failing point, and the call raises
+    the failure of the lowest failing point once every thread is done,
+    as one thread would.  The rows are the same to the last bit for any
+    number of threads or chunk size."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -441,12 +480,12 @@ def mc_randomized_schedule_detail(
         )
     n, b = params.n, params.b
     grid_size = params.epsilon_grid_size
-    chunk = max(1, min(_CHUNK, _CHUNK_KEYS // n, trials))
+    points = len(params.t_grid)
+    workers = max(1, min(_core_count(), points, trials // _MIN_SLICE, _MAX_WORKERS))
+    chunk = max(1, min(_CHUNK // workers, _CHUNK_KEYS // (workers * n), trials))
     # Trial i's stratum is i % grid_size: a chunk from trial lo reads its
     # strata from here at lo % grid_size.
     strata = (np.arange(min(grid_size, trials) + chunk) % grid_size).astype(float)
-    points = len(params.t_grid)
-    workers = max(1, min(_core_count(), points, trials // _MIN_SLICE, _MAX_WORKERS))
     rows: list[dict] = [{}] * points
 
     def stream(idx: int, draw: int) -> np.random.Generator:
@@ -462,10 +501,13 @@ def mc_randomized_schedule_detail(
     def run_point(idx: int, d: np.ndarray, vectors: tuple) -> dict:
         """Grid point idx's row.  Its D goes into d, chunk by chunk
         through the chunk-sized vectors."""
-        eps, b_eps, at_k, slot, keys, below = vectors
+        eps, at_k, band, slot, keys, below = vectors
         k, delta = params.t_grid[idx]
         t = params.query_time(k, delta)
         x_before, x_k, x_after = (_threshold(b, j, t) for j in (k - 1, k, k + 1))
+        log_b = math.log(b)
+        w = _GUARD / log_b
+        least, most = math.log(x_after) / log_b + w, math.log(x_before) / log_b - w
         # The queried problem's last completed run has index
         # l - 1 - ((l - 1 - slot) mod n).  That takes 2n values, one per
         # (l, slot), tabled here and looked up at 2 slot + [l = k].
@@ -476,17 +518,23 @@ def mc_randomized_schedule_detail(
         eps_draws, key_draws = stream(idx, 0), stream(idx, trials)
         for lo in range(0, trials, chunk):
             size = min(chunk, trials - lo)
-            d_, eps_, b_eps_ = d[lo:lo + size], eps[:size], b_eps[:size]
-            at_k_, slot_ = at_k[:size], slot[:size]
+            d_, eps_, at_k_ = d[lo:lo + size], eps[:size], at_k[:size]
+            band_, slot_ = band[:size], slot[:size]
             eps_draws.random(out=eps_)
             np.add(strata[lo % grid_size:][:size], eps_, out=eps_)
             np.divide(eps_, grid_size, out=eps_)
-            np.power(b, eps_, out=b_eps_)
             # The number of completed runs l satisfies finish(l) <= t <
-            # finish(l+1): l = k where at_k holds, k-1 elsewhere, which
-            # the chunk's least and greatest b^eps check for every trial.
-            np.less_equal(b_eps_, x_k, out=at_k_)
-            if b_eps_.min() <= min(x_k, x_after) or b_eps_.max() > max(x_before, x_k):
+            # finish(l+1): l = k where b^eps <= x_k, k-1 elsewhere, which
+            # holds if no b^eps is at most x_after nor above x_before.
+            _power_at_most(b, eps_, x_k, at_k_, d_, band_)
+            outside = False
+            if eps_.min() <= least:
+                np.less_equal(eps_, least, out=band_)
+                outside = bool((np.power(b, eps_[band_]) <= x_after).any())
+            if eps_.max() > most:
+                np.greater(eps_, most, out=band_)
+                outside |= bool((np.power(b, eps_[band_]) > x_before).any())
+            if outside:
                 raise AssertionError(
                     "running-run index fell outside {k-1, k} at "
                     f"grid point (k={k}, delta={delta})"
@@ -499,7 +547,8 @@ def mc_randomized_schedule_detail(
             np.add.reduce(below[:, :size], axis=0, dtype=np.intp, out=slot_)
             np.add(slot_, slot_, out=slot_)
             np.add(slot_, at_k_, out=slot_)
-            np.take(last_index, slot_, out=d_)
+            # slot_ is in range; "clip" writes to d_ with no buffer of its size.
+            np.take(last_index, slot_, out=d_, mode="clip")
             np.add(d_, eps_, out=d_)
             np.power(b, d_, out=d_)
         mean, stderr = _mean_and_stderr(d)
@@ -513,7 +562,7 @@ def mc_randomized_schedule_detail(
         idx = first
         try:
             d = np.empty(trials)
-            vectors = (np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool),
+            vectors = (np.empty(chunk), *np.empty((2, chunk), dtype=bool),
                        np.empty(chunk, dtype=np.intp), np.empty((chunk, n)),
                        np.empty((n - 1, chunk), dtype=bool))
             for idx in range(first, points, workers):

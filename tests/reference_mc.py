@@ -49,8 +49,13 @@ def mc_randomized_schedule_detail(
         last_index = run_index - 1 - staleness
         sample = b ** (last_index + eps)
         mean = float(np.mean(sample))
+        # Past 2^256 the sample is scaled by a power of two, which changes
+        # no bit of its standard error but keeps the squares in range.
+        scale = max(0, math.frexp(float(sample.max()))[1] - 256)
         stderr = (
-            float(np.std(sample, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            math.ldexp(float(np.std(np.ldexp(sample, -scale), ddof=1)
+                             / math.sqrt(trials)), scale)
+            if trials > 1 else 0.0
         )
         rows.append(
             {

@@ -25,6 +25,7 @@ from raysched.sched_eval import (
 from raysched.search_eval import competitive_ratio, rth_visit, turn_bound
 from raysched.stochastic import (
     DetectionModel,
+    RandomizedScheduleParams,
     beta_r_closed_form,
     expected_acc_ratio_mc_contracts,
     probabilistic_competitive_ratio,
@@ -186,10 +187,14 @@ _HORIZON_PAST_TRAJECTORY = (f"error: horizon of {2**63} excursions requested, mo
         (["claims", "--subset", "pseudo-repeat-ratio", "--horizon", "12"],
          "error: claim pseudo-repeat-ratio at n=4 r=3 b=1.25 has no value within "
          "horizon 12\n"),
+        (["rand-sched", "--n", "3880", "--b", "1.2", "--trials", "10"],
+         "error: grid point (k=3884, delta=0.5) query time overflowed float range "
+         "at base 1.2; reduce the base\n"),
     ],
     ids=["opt-base", "curve-fig1", "prob-search", "claims-trials",
          "claims-randomized-trials", "rand-sched-trials", "claims-horizon",
-         "prob-search-horizon", "claims-short-horizon", "claims-pseudo-short-horizon"],
+         "prob-search-horizon", "claims-short-horizon", "claims-pseudo-short-horizon",
+         "rand-sched-query-time"],
 )
 def test_range_errors_name_the_input(argv, message, capsys):
     """Arithmetic past float range inside a formula is reported as the
@@ -206,8 +211,11 @@ def test_range_errors_name_the_input(argv, message, capsys):
         (lambda: lemma_root(5e-324), r"^p must be > 2e-09 .*, got 5e-324$"),
         (lambda: expected_acc_ratio_mc_contracts(1, 5e-324, 1.5, 2),
          r"^p \* \(b - 1\) underflows to 0 at p = 5e-324, b = 1.5$"),
+        (lambda: RandomizedScheduleParams(n=2, b=1.5, t_grid=((1749, 0.5),)),
+         r"^grid point \(k=1749, delta=0.5\) query time overflowed float range "
+         r"at base 1.5; reduce the base$"),
     ],
-    ids=["beta-r", "lemma-root", "expected-contracts"],
+    ids=["beta-r", "lemma-root", "expected-contracts", "rand-sched-params"],
 )
 def test_library_range_errors_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):

@@ -88,7 +88,8 @@ def test_rows_do_not_depend_on_the_slice_count(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stochastic, "_MIN_SLICE", 1)
         patch.setattr(stochastic, "_core_count", lambda: workers)
-        patch.setattr(stochastic, "_CHUNK", chunk)
+        # The chunk budget is split among the threads the call uses.
+        patch.setattr(stochastic, "_CHUNK", chunk * min(workers, len(params.t_grid)))
         rows = mc_randomized_schedule_detail(params, trials, seed)
     expected = ref.mc_randomized_schedule_detail(params, trials, seed)
     assert repr(rows) == repr(expected)

@@ -114,6 +114,91 @@ def test_thresholds_decide_the_finish_comparison():
     assert checked >= 300
 
 
+def _ulps_around(e, count):
+    """e and the count doubles either side of it."""
+    up = down = e
+    near = [e]
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        near += [up, down]
+    return near
+
+
+def test_epsilon_decides_as_the_power_does():
+    """At the kernel's own query times and thresholds x_j, deciding
+    b^eps <= x_j on epsilon gives np.power's answer: at e_j = log_b(x_j),
+    within 64 ulps of it, on and just past the band's edges e_j +- w,
+    inside the band and at random points of [0, 1).  Near e_j the plain
+    eps <= e_j is often wrong, which the band must catch."""
+    rng = np.random.default_rng(29)
+    checked = wrong_without_band = 0
+    for b, j in _random_cases(rng, 300):
+        k = max(2, j + int(rng.integers(-1, 2)))
+        try:
+            t = RandomizedScheduleParams(n=1, b=b, t_grid=((k, 0.5),)).query_time(
+                k, rng.uniform()
+            )
+        except ValueError:  # b^(k+1) or t past float range
+            continue
+        x = stochastic._threshold(b, j, t)
+        e, w = math.log(x) / math.log(b), stochastic._GUARD / math.log(b)
+        eps = np.array(
+            _ulps_around(e, 64)
+            + [edge for sign in (-1, 1) for edge in _ulps_around(e + sign * w, 2)]
+            + [e + sign * w * (1.0 + step) for sign in (-1, 1) for step in (-1e-6, 1e-6)]
+            + list(e + rng.uniform(-w, w, 32))
+            + list(rng.uniform(size=32))
+        )
+        size = eps.size
+        got = stochastic._power_at_most(b, eps, x, np.empty(size, dtype=bool),
+                                        np.empty(size), np.empty(size, dtype=bool))
+        expected = np.power(b, eps) <= x
+        assert np.array_equal(got, expected), (b, j, t)
+        wrong_without_band += int(np.count_nonzero((eps <= e) != expected))
+        checked += 1
+    assert checked >= 200
+    assert wrong_without_band >= 1_000
+
+
+def test_power_is_within_2_to_the_minus_40_of_libm():
+    """The band's margin: np.power stays far inside 2^-31 relative of
+    b^eps, here against math.pow, on b from 1 + 1e-9 to 10."""
+    rng = np.random.default_rng(31)
+    b = 1.0 + 10.0 ** rng.uniform(-9.0, math.log10(9.0), 2_000)
+    eps = rng.uniform(-2.0, 2.0, 2_000)
+    got = np.power(b, eps)
+    expected = np.array([math.pow(b_, e_) for b_, e_ in zip(b.tolist(), eps.tolist())])
+    assert np.max(np.abs(got - expected) / expected) < 2.0**-40
+
+
+def test_stderr_past_the_squares_float_range():
+    """At n = 632 and b = 3, D reaches 1e299 and its squared deviations
+    pass float range.  The standard error is taken on deviations scaled
+    by a power of two: finite, and the reference's, which scales by
+    another power, to the last bit."""
+    params = RandomizedScheduleParams(n=632, b=3.0, t_grid=standard_t_grid(632, 3.0, 2))
+    rows = mc_randomized_schedule_detail(params, 1_000, 0)
+    assert all(0 < row["d_stderr"] < row["d_mean"] for row in rows)
+    assert repr(rows) == repr(ref.mc_randomized_schedule_detail(params, 1_000, 0))
+
+
+@pytest.mark.parametrize("outlier", [2.0**510, 2.0**520, 2.0**1000])
+def test_scaled_deviations_keep_an_in_range_variance(outlier):
+    """One large value among 999 ones.  At 2^510 the variance is in
+    range but its deviations are scaled, and keep np.std's bits; past
+    it the variance overflows and the standard error does not."""
+    d = np.ones(1_000)
+    d[0] = outlier
+    mean, stderr = stochastic._mean_and_stderr(d.copy())
+    assert mean == np.mean(d)
+    with np.errstate(over="ignore"):
+        plain = float(np.std(d, ddof=1) / math.sqrt(d.size))
+    if math.isfinite(plain):
+        assert stderr == plain
+    else:
+        assert stderr == pytest.approx(outlier / d.size, rel=1e-3)
+
+
 def _peak_bytes(call) -> int:
     """tracemalloc's peak over call(); it sees numpy's buffers, from every
     thread."""
@@ -173,10 +258,10 @@ def test_running_run_index_check_survives(delta):
 def three_workers(monkeypatch):
     """Deal the grid points of any call of three or more trials to three
     threads, the last two from the pool, whatever the host's core count,
-    in chunks of 7 trials."""
+    in chunks of 7 trials: a budget of 21 split three ways."""
     monkeypatch.setattr(stochastic, "_MIN_SLICE", 1)
     monkeypatch.setattr(stochastic, "_core_count", lambda: 3)
-    monkeypatch.setattr(stochastic, "_CHUNK", 7)
+    monkeypatch.setattr(stochastic, "_CHUNK", 21)
 
 
 def _forced(n, b, grid_size, t_grid):
@@ -248,7 +333,7 @@ def test_many_slices_under_a_short_switch_interval(monkeypatch):
     the rows.  The call that returns leaves no thread behind."""
     monkeypatch.setattr(stochastic, "_MIN_SLICE", 1)
     monkeypatch.setattr(stochastic, "_core_count", lambda: 8)
-    monkeypatch.setattr(stochastic, "_CHUNK", 5)
+    monkeypatch.setattr(stochastic, "_CHUNK", 20)  # 5 trials on each of 4
     params = RandomizedScheduleParams(n=3, b=1.4, t_grid=standard_t_grid(3, 1.4, 6))
     threads = threading.active_count()
     interval = sys.getswitchinterval()
