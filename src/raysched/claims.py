@@ -6,9 +6,10 @@ the relation and tolerance of the comparison, its parameter points and
 a measure function returning (reference value, measured value, params
 label) at one point; run_claim_catalog turns the rows into ClaimChecks
 in one loop.  Reference values come from the closed-form table in
-numopt, measurements from the evaluators.  A measurement several rows
-need (the sweeps behind the lower/upper pairs) runs once per catalog
-run: each run keeps its own memo, and nothing survives it.
+numopt, measurements from the evaluators.  Every sweep goes through
+the run's memo (_Run.sweep for a plan's sweep, _Run.once for the
+rest), so a sweep several rows need runs once per catalog run: each
+run keeps its own memo, and nothing survives it.
 
 Values are recorded verbatim even when measurement disagrees; entries
 known to disagree with the source are marked informational only where
@@ -92,6 +93,14 @@ class _Run:
             self._memo[key] = fn(*args)
         return self._memo[key]
 
+    def sweep(self, evaluate: Callable, factory: Callable, args: tuple, semantics):
+        """evaluate(factory(*args), semantics, horizon): the report of one
+        plan's sweep, computed at most once in this run."""
+        key = (evaluate, factory, args, semantics)
+        if key not in self._memo:
+            self._memo[key] = evaluate(factory(*args), semantics, self.horizon)
+        return self._memo[key]
+
 
 Measured = tuple[float, float, str]
 
@@ -124,42 +133,14 @@ def _log_grid(lo: float, hi: float, count: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (count - 1)) for i in range(count)]
 
 
-# -- measurements shared by several rows (run through _Run.once) -----------
-
-
-def _exp_search_limit(m: int, b: float, horizon: int) -> float:
-    plan = make_exponential_search(m, b)
-    return competitive_ratio(plan, FIRST_VISIT, horizon).limit_sup
-
-
-def _exp_schedule_limit(n: int, b: float, horizon: int) -> float:
-    plan = make_exponential_schedule(n, b)
-    return acceleration_ratio(plan, longest_completed(), horizon).limit_sup
-
-
-def _prob_search_sup(m: int, p: float, horizon: int) -> float:
-    plan = make_exponential_search(m, tuned_search_base(m, p))
-    model = DetectionModel(p, DirectionRule.OUTWARD_ONLY)
-    return probabilistic_competitive_ratio(plan, model, horizon).finite_sup
-
-
-def _prob_sched_sup(n: int, p: float, horizon: int) -> float:
-    b = optimal_base_schedule(n)
-    return expected_acc_ratio_mc_contracts(n, p, b, horizon).finite_sup
-
-
-def _fault_base(m: int, r: int) -> float:
-    """Best exploration base for finding a target r times with m rays."""
-    big_m = ((r + 1) // 2) * m
-    if r % 2 == 1:
-        return big_m / (big_m - 1.0)
-    return (big_m + 1.0) / big_m
+# -- measurements the acceptance suite also reads ---------------------------
 
 
 def _exp_fault_limit(m: int, r: int, horizon: int) -> tuple[float, float]:
-    """(base, measured ratio limit) of the best plain exponential plan
-    under r-required-passes semantics."""
-    b = _fault_base(m, r)
+    """(base, measured ratio limit) of the plain exponential plan with the
+    best base for finding a target r times with m rays."""
+    big_m = ((r + 1) // 2) * m
+    b = big_m / (big_m - 1.0) if r % 2 == 1 else (big_m + 1.0) / big_m
     report = competitive_ratio(make_exponential_search(m, b), rth_visit(r), horizon)
     return b, report.limit_sup
 
@@ -176,21 +157,6 @@ def _nm_best_limit(m: int, r: int, horizon: int) -> tuple[float, float]:
     b_star, _ = scan_golden_min(lambda b: limit(m, b, r, r), 4.0, 1e-9)
     report = competitive_ratio(make_nm_search(m, b_star, r), rth_visit(r), horizon)
     return b_star, report.limit_sup
-
-
-def _pseudo_limit(n: int, r: int, horizon: int) -> float:
-    plan = make_pseudo_exponential_schedule(n, optimal_base_schedule(n), r)
-    return acceleration_ratio(plan, r_times_completed(r), horizon).limit_sup
-
-
-def _rth_largest_limit(n: int, r: int, horizon: int) -> tuple[float, float]:
-    """(base, limit) of the exponential schedule tuned for rank-r credit."""
-    b = (r * n + 1.0) / (r * n)
-    plan = make_exponential_schedule(n, b)
-    return b, acceleration_ratio(plan, rth_largest_completed(r), horizon).limit_sup
-
-
-# -- measurements of a single row ------------------------------------------
 
 
 def _rr_tail_ratio(n: int, b: float, phases: int) -> float:
@@ -217,48 +183,56 @@ def _expanding_tail_ratio(m: int, b: float, phase: int) -> float:
     return found / point
 
 
-def _worst_ceiling(
-    count: Callable[[float], int], bound: Callable[[float], float]
-) -> tuple[float, float, float]:
-    """(query, bound, count) at the grid query maximizing count - bound."""
-    rows = [(x, count(x), bound(x)) for x in _log_grid(0.5, 1e4, 20)]
+def _worst_ceiling(claim_id: str, count: Callable[[float], int], query: str,
+                   **params) -> Measured:
+    """(ceiling, count, label) at the grid query maximizing the count
+    minus the claim's closed-form ceiling."""
+    rows = [(x, count(x), closed_form(claim_id, **params, **{query: x}))
+            for x in _log_grid(0.5, 1e4, 20)]
     x, worst, ceiling = max(rows, key=lambda row: row[1] - row[2])
-    return x, ceiling, float(worst)
+    return ceiling, float(worst), _label(**params, **{query: x})
 
 
 # -- measure functions: (run, claim_id, *point) -> Measured -----------------
+# Sweeps name their evaluator by its global in this module, so a wrapper
+# set there (a test's call counter, perfbench's tracer) sees every call.
 
 
 def _search_ratio_printed(run: _Run, claim_id: str, m: int) -> Measured:
     b = optimal_base_search(m)
-    measured = run.once(_exp_search_limit, m, b, run.horizon)
-    return closed_form(claim_id, m=m), measured, _label(m=m, b=b)
+    report = run.sweep(competitive_ratio, make_exponential_search, (m, b), FIRST_VISIT)
+    return closed_form(claim_id, m=m), report.limit_sup, _label(m=m, b=b)
 
 
 def _search_ratio_base(run: _Run, claim_id: str, m: int, b: float) -> Measured:
-    measured = run.once(_exp_search_limit, m, b, run.horizon)
-    return closed_form(claim_id, m=m, b=b), measured, _label(m=m, b=b)
+    report = run.sweep(competitive_ratio, make_exponential_search, (m, b), FIRST_VISIT)
+    return closed_form(claim_id, m=m, b=b), report.limit_sup, _label(m=m, b=b)
 
 
 def _sched_ratio_optimal(run: _Run, claim_id: str, n: int) -> Measured:
     b = optimal_base_schedule(n)
-    measured = run.once(_exp_schedule_limit, n, b, run.horizon)
-    return closed_form(claim_id, n=n), measured, _label(n=n, b=b)
+    report = run.sweep(acceleration_ratio, make_exponential_schedule, (n, b),
+                       longest_completed())
+    return closed_form(claim_id, n=n), report.limit_sup, _label(n=n, b=b)
 
 
 def _sched_ratio_base(run: _Run, claim_id: str, n: int, b: float) -> Measured:
-    measured = run.once(_exp_schedule_limit, n, b, run.horizon)
-    return closed_form(claim_id, n=n, b=b), measured, _label(n=n, b=b)
+    report = run.sweep(acceleration_ratio, make_exponential_schedule, (n, b),
+                       longest_completed())
+    return closed_form(claim_id, n=n, b=b), report.limit_sup, _label(n=n, b=b)
 
 
 def _prob_search(run: _Run, claim_id: str, m: int, p: float) -> Measured:
-    measured = run.once(_prob_search_sup, m, p, run.horizon)
-    return closed_form(claim_id, m=m, p=p), measured, _label(m=m, p=p)
+    report = run.sweep(probabilistic_competitive_ratio, make_exponential_search,
+                       (m, tuned_search_base(m, p)),
+                       DetectionModel(p, DirectionRule.OUTWARD_ONLY))
+    return closed_form(claim_id, m=m, p=p), report.finite_sup, _label(m=m, p=p)
 
 
 def _prob_sched(run: _Run, claim_id: str, n: int, p: float) -> Measured:
-    measured = run.once(_prob_sched_sup, n, p, run.horizon)
-    return closed_form(claim_id, n=n, p=p), measured, _label(n=n, p=p)
+    b = optimal_base_schedule(n)
+    report = run.once(expected_acc_ratio_mc_contracts, n, p, b, run.horizon)
+    return closed_form(claim_id, n=n, p=p), report.finite_sup, _label(n=n, p=p)
 
 
 def _fault_search(run: _Run, claim_id: str, m: int, r: int) -> Measured:
@@ -268,9 +242,8 @@ def _fault_search(run: _Run, claim_id: str, m: int, r: int) -> Measured:
 
 def _nm_search_upper(run: _Run, claim_id: str, m: int, r: int) -> Measured:
     b = optimal_base_search(m)
-    plan = make_nm_search(m, b, r)
-    measured = competitive_ratio(plan, rth_visit(r), run.horizon).limit_sup
-    return closed_form(claim_id, m=m, r=r), measured, _label(m=m, r=r, b=b)
+    report = run.sweep(competitive_ratio, make_nm_search, (m, b, r), rth_visit(r))
+    return closed_form(claim_id, m=m, r=r), report.limit_sup, _label(m=m, r=r, b=b)
 
 
 def _nm_vs_exponential(run: _Run, claim_id: str, m: int, r: int) -> Measured:
@@ -280,20 +253,26 @@ def _nm_vs_exponential(run: _Run, claim_id: str, m: int, r: int) -> Measured:
 
 
 def _pseudo_repeat_ratio(run: _Run, claim_id: str, n: int, r: int) -> Measured:
-    measured = run.once(_pseudo_limit, n, r, run.horizon)
-    label = _label(n=n, r=r, b=optimal_base_schedule(n))
-    return closed_form(claim_id, n=n, r=r), measured, label
+    b = optimal_base_schedule(n)
+    report = run.sweep(acceleration_ratio, make_pseudo_exponential_schedule,
+                       (n, b, r), r_times_completed(r))
+    return closed_form(claim_id, n=n, r=r), report.limit_sup, _label(n=n, r=r, b=b)
 
 
 def _pseudo_vs_exponential(run: _Run, claim_id: str, n: int, r: int) -> Measured:
-    pseudo = run.once(_pseudo_limit, n, r, run.horizon)
-    exp_b, exp_value = run.once(_rth_largest_limit, n, r, run.horizon)
-    return exp_value, pseudo, _label(n=n, r=r, exp_b=exp_b)
+    pseudo = run.sweep(acceleration_ratio, make_pseudo_exponential_schedule,
+                       (n, optimal_base_schedule(n), r), r_times_completed(r))
+    exp_b = optimal_base_schedule(r * n)  # rank-r credit's optimum: r*n problems
+    exponential = run.sweep(acceleration_ratio, make_exponential_schedule,
+                            (n, exp_b), rth_largest_completed(r))
+    return exponential.limit_sup, pseudo.limit_sup, _label(n=n, r=r, exp_b=exp_b)
 
 
 def _rth_largest_ratio(run: _Run, claim_id: str, n: int, r: int) -> Measured:
-    b, measured = run.once(_rth_largest_limit, n, r, run.horizon)
-    return closed_form(claim_id, n=n, r=r), measured, _label(n=n, r=r, b=b)
+    b = optimal_base_schedule(r * n)
+    report = run.sweep(acceleration_ratio, make_exponential_schedule, (n, b),
+                       rth_largest_completed(r))
+    return closed_form(claim_id, n=n, r=r), report.limit_sup, _label(n=n, r=r, b=b)
 
 
 def _randomized_ratio(run: _Run, claim_id: str, n: int, b: float) -> Measured:
@@ -320,9 +299,9 @@ def _fig1_ratio_edge(run: _Run, claim_id: str, n: int) -> Measured:
 
 
 def _rr_worst(run: _Run, claim_id: str, n: int, b: float) -> Measured:
-    plan = make_geometric_rr_schedule(n, b)
-    measured = acceleration_ratio(plan, aggregate_interruptible(), run.horizon)
-    return closed_form(claim_id, n=n, b=b), measured.finite_sup, _label(n=n, b=b)
+    report = run.sweep(acceleration_ratio, make_geometric_rr_schedule, (n, b),
+                       aggregate_interruptible())
+    return closed_form(claim_id, n=n, b=b), report.finite_sup, _label(n=n, b=b)
 
 
 def _rr_asymptotic(run: _Run, claim_id: str, n: int, b: float) -> Measured:
@@ -331,9 +310,8 @@ def _rr_asymptotic(run: _Run, claim_id: str, n: int, b: float) -> Measured:
 
 
 def _expanding_search_worst(run: _Run, claim_id: str, m: int, b: float) -> Measured:
-    plan = make_geometric_search(m, b)
-    measured = competitive_ratio(plan, FIRST_VISIT, run.horizon).finite_sup
-    return closed_form(claim_id, m=m, b=b), measured, _label(m=m, b=b)
+    report = run.sweep(competitive_ratio, make_geometric_search, (m, b), FIRST_VISIT)
+    return closed_form(claim_id, m=m, b=b), report.finite_sup, _label(m=m, b=b)
 
 
 def _expanding_search_asymptotic(
@@ -345,38 +323,23 @@ def _expanding_search_asymptotic(
 
 def _preemption_ceiling(run: _Run, claim_id: str, n: int, b: float) -> Measured:
     plan = make_geometric_rr_schedule(n, b)
-    t, bound, count = _worst_ceiling(
-        lambda t: preemption_count(plan, t),
-        lambda t: closed_form(claim_id, n=n, b=b, t=t),
-    )
-    return bound, count, _label(n=n, b=b, t=t)
+    return _worst_ceiling(claim_id, lambda t: preemption_count(plan, t), "t", n=n, b=b)
 
 
 def _contract_ceiling(run: _Run, claim_id: str, b: float) -> Measured:
     plan = make_exponential_schedule(1, b)
-    t, bound, count = _worst_ceiling(
-        lambda t: contract_count(plan, t),
-        lambda t: closed_form(claim_id, b=b, t=t),
-    )
-    return bound, count, _label(b=b, t=t)
+    return _worst_ceiling(claim_id, lambda t: contract_count(plan, t), "t", b=b)
 
 
 def _turn_ceiling(run: _Run, claim_id: str, b: float) -> Measured:
     plan = make_exponential_search(2, b)
-    d, bound, count = _worst_ceiling(
-        lambda d: turn_count(plan, d, one_way=True),
-        lambda d: closed_form(claim_id, b=b, d=d),
-    )
-    return bound, count, _label(b=b, d=d)
+    return _worst_ceiling(claim_id, lambda d: turn_count(plan, d, one_way=True), "d",
+                          b=b)
 
 
 def _expanding_turn_ceiling(run: _Run, claim_id: str, m: int, b: float) -> Measured:
     plan = make_geometric_search(m, b)
-    d, bound, count = _worst_ceiling(
-        lambda d: turn_count(plan, d),
-        lambda d: closed_form(claim_id, m=m, b=b, d=d),
-    )
-    return bound, count, _label(m=m, b=b, d=d)
+    return _worst_ceiling(claim_id, lambda d: turn_count(plan, d), "d", m=m, b=b)
 
 
 _BASES = (1.5, 2.0)

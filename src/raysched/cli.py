@@ -115,15 +115,23 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _witness_parts(witness) -> tuple[Optional[int], Optional[float]]:
-    if witness is None:
-        return None, None
-    _, ray, point = witness
-    return ray, point
+# Choice tables: a flag value maps to what it runs, and the parser takes its
+# choices from the table.  Entries call through this module's globals, so a
+# wrapper set there (perfbench's tracer) sees each call.
+
+# --strategy -> (cost model, base when --b is omitted, plan for (m, b, r))
+_SEARCH_STRATEGIES = {
+    "exponential": (CostModel.STANDARD, lambda m: optimal_base_search(m),
+                    lambda m, b, r: make_exponential_search(m, b)),
+    "nm": (CostModel.STANDARD, lambda m: optimal_base_search(m),
+           lambda m, b, r: make_nm_search(m, b, r)),
+    "geometric": (CostModel.EXPANDING, lambda m: 2.0,
+                  lambda m, b, r: make_geometric_search(m, b)),
+}
 
 
 def _cmd_search_eval(args) -> tuple[list[dict], int]:
-    natural = CostModel.EXPANDING if args.strategy == "geometric" else CostModel.STANDARD
+    natural, default_base, make_plan = _SEARCH_STRATEGIES[args.strategy]
     if args.cost_model is not None:
         requested = CostModel(args.cost_model)
         if requested is not natural:
@@ -131,18 +139,10 @@ def _cmd_search_eval(args) -> tuple[list[dict], int]:
                 f"strategy {args.strategy!r} uses the "
                 f"{natural.value} cost model, not {requested.value}"
             )
-    if args.b is None:
-        b = optimal_base_search(args.m) if args.strategy != "geometric" else 2.0
-    else:
-        b = args.b
-    if args.strategy == "exponential":
-        plan = make_exponential_search(args.m, b)
-    elif args.strategy == "nm":
-        plan = make_nm_search(args.m, b, args.r)
-    else:
-        plan = make_geometric_search(args.m, b)
+    b = default_base(args.m) if args.b is None else args.b
+    plan = make_plan(args.m, b, args.r)
     report = competitive_ratio(plan, rth_visit(args.r), args.horizon)
-    ray, point = _witness_parts(report.witness)
+    _, ray, point = report.witness or (None, None, None)
     rows = [
         {
             "strategy": args.strategy,
@@ -161,29 +161,28 @@ def _cmd_search_eval(args) -> tuple[list[dict], int]:
     return rows, 0
 
 
-_SEMANTICS_FLAGS = ("longest", "r-completed", "rth-largest", "aggregate")
+# --strategy -> (base when --b is omitted, plan for (n, b, r))
+_SCHED_STRATEGIES = {
+    "exponential": (lambda n: optimal_base_schedule(n),
+                    lambda n, b, r: make_exponential_schedule(n, b)),
+    "pseudo": (lambda n: optimal_base_schedule(n),
+               lambda n, b, r: make_pseudo_exponential_schedule(n, b, r)),
+    "geometric-rr": (lambda n: 2.0, lambda n, b, r: make_geometric_rr_schedule(n, b)),
+}
+# --semantics -> credit rule for the repeat count or rank r
+_SEMANTICS = {
+    "longest": lambda r: longest_completed(),
+    "r-completed": lambda r: r_times_completed(r),
+    "rth-largest": lambda r: rth_largest_completed(r),
+    "aggregate": lambda r: aggregate_interruptible(),
+}
 
 
 def _cmd_sched_eval(args) -> tuple[list[dict], int]:
-    if args.b is None:
-        b = optimal_base_schedule(args.n) if args.strategy != "geometric-rr" else 2.0
-    else:
-        b = args.b
-    if args.strategy == "exponential":
-        plan = make_exponential_schedule(args.n, b)
-    elif args.strategy == "pseudo":
-        plan = make_pseudo_exponential_schedule(args.n, b, args.r)
-    else:
-        plan = make_geometric_rr_schedule(args.n, b)
-    if args.semantics == "longest":
-        semantics = longest_completed()
-    elif args.semantics == "r-completed":
-        semantics = r_times_completed(args.r)
-    elif args.semantics == "rth-largest":
-        semantics = rth_largest_completed(args.r)
-    else:
-        semantics = aggregate_interruptible()
-    report = acceleration_ratio(plan, semantics, args.horizon)
+    default_base, make_plan = _SCHED_STRATEGIES[args.strategy]
+    b = default_base(args.n) if args.b is None else args.b
+    plan = make_plan(args.n, b, args.r)
+    report = acceleration_ratio(plan, _SEMANTICS[args.semantics](args.r), args.horizon)
     rows = [
         {
             "strategy": args.strategy,
@@ -201,14 +200,13 @@ def _cmd_sched_eval(args) -> tuple[list[dict], int]:
     return rows, 0
 
 
+_DIRECTIONS = {"both": DirectionRule.BOTH_DIRECTIONS,
+               "outward-only": DirectionRule.OUTWARD_ONLY}
+
+
 def _cmd_prob_search(args) -> tuple[list[dict], int]:
-    direction = (
-        DirectionRule.OUTWARD_ONLY
-        if args.direction == "outward-only"
-        else DirectionRule.BOTH_DIRECTIONS
-    )
     b = args.b if args.b is not None else tuned_search_base(args.m, args.p)
-    model = DetectionModel(args.p, direction)
+    model = DetectionModel(args.p, _DIRECTIONS[args.direction])
     plan = make_exponential_search(args.m, b)
     report = probabilistic_competitive_ratio(plan, model, args.horizon)
     rows = [
@@ -251,60 +249,56 @@ def _cmd_rand_sched(args) -> tuple[list[dict], int]:
     return rows, 0
 
 
+def _search_optimum(m: int) -> tuple[float, float]:
+    b = optimal_base_search(m)
+    plan = make_exponential_search(m, b)
+    return b, competitive_ratio(plan, FIRST_VISIT, DEFAULT_HORIZON).limit_sup
+
+
+def _sched_optimum(n: int) -> tuple[float, float]:
+    b = optimal_base_schedule(n)
+    plan = make_exponential_schedule(n, b)
+    return b, acceleration_ratio(plan, longest_completed(), DEFAULT_HORIZON).limit_sup
+
+
+# --target -> (best base, ratio at it) for the given --n
+_OPT_TARGETS = {
+    "beta-r": lambda n: beta_r_star(n),
+    "search": _search_optimum,
+    "sched": _sched_optimum,
+}
+
+
 def _cmd_opt_base(args) -> tuple[list[dict], int]:
-    if args.target == "beta-r":
-        b_star, value = beta_r_star(args.n)
-    elif args.target == "search":
-        b_star = optimal_base_search(args.n)
-        value = competitive_ratio(
-            make_exponential_search(args.n, b_star), FIRST_VISIT, DEFAULT_HORIZON
-        ).limit_sup
-    else:
-        b_star = optimal_base_schedule(args.n)
-        value = acceleration_ratio(
-            make_exponential_schedule(args.n, b_star),
-            longest_completed(),
-            DEFAULT_HORIZON,
-        ).limit_sup
+    b_star, value = _OPT_TARGETS[args.target](args.n)
     rows = [{"target": args.target, "n": args.n, "b_star": b_star, "value": value}]
     return rows, 0
 
 
+# --model -> (size flag, plan for (size, b), count by t, ceiling for (size, b, t))
+_TRADEOFF_MODELS = {
+    "preemptive": ("n", lambda n, b: make_geometric_rr_schedule(n, b),
+                   lambda plan, t: preemption_count(plan, t),
+                   lambda n, b, t: preemption_bound(n, b, t)),
+    "contracts": ("n", lambda n, b: make_exponential_schedule(n, b),
+                  lambda plan, t: contract_count(plan, t),
+                  lambda n, b, t: contract_bound(b, t)),
+    "turns": ("m", lambda m, b: make_exponential_search(m, b),
+              lambda plan, t: turn_count(plan, t, one_way=True),
+              lambda m, b, t: turn_bound(m, b, t, CostModel.STANDARD)),
+    "turns-expanding": ("m", lambda m, b: make_geometric_search(m, b),
+                        lambda plan, t: turn_count(plan, t),
+                        lambda m, b, t: turn_bound(m, b, t, CostModel.EXPANDING)),
+}
+
+
 def _cmd_tradeoff(args) -> tuple[list[dict], int]:
-    times = args.t if args.t else [5.0]
+    size_flag, make_plan, count_by, ceiling = _TRADEOFF_MODELS[args.model]
+    size = getattr(args, size_flag)
+    plan = make_plan(size, args.b)
     rows = []
-    if args.model == "preemptive":
-        plan = make_geometric_rr_schedule(args.n, args.b)
-        size = args.n
-        entries = [
-            (t, preemption_count(plan, t), preemption_bound(args.n, args.b, t))
-            for t in times
-        ]
-    elif args.model == "contracts":
-        plan = make_exponential_schedule(args.n, args.b)
-        size = args.n
-        entries = [
-            (t, contract_count(plan, t), contract_bound(args.b, t)) for t in times
-        ]
-    elif args.model == "turns":
-        plan = make_exponential_search(args.m, args.b)
-        size = args.m
-        entries = [
-            (
-                t,
-                turn_count(plan, t, one_way=True),
-                turn_bound(args.m, args.b, t, CostModel.STANDARD),
-            )
-            for t in times
-        ]
-    else:
-        plan = make_geometric_search(args.m, args.b)
-        size = args.m
-        entries = [
-            (t, turn_count(plan, t), turn_bound(args.m, args.b, t, CostModel.EXPANDING))
-            for t in times
-        ]
-    for t, count, bound in entries:
+    for t in args.t if args.t else [5.0]:
+        count, bound = count_by(plan, t), ceiling(size, args.b, t)
         rows.append(
             {
                 "model": args.model,
@@ -382,30 +376,28 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("search-eval", help="worst-case search ratio sweep")
-    sub.add_argument("--strategy", choices=("exponential", "nm", "geometric"),
-                     default="exponential")
+    sub.add_argument("--strategy", choices=_SEARCH_STRATEGIES, default="exponential")
     sub.add_argument("--m", type=int, required=True, help="number of rays")
     sub.add_argument("--b", type=float, default=None,
                      help="exploration base (default: the strategy's optimum)")
     sub.add_argument("--r", type=int, default=1,
                      help="required passes over the target (and sweeps per "
                           "excursion for the nm strategy)")
-    sub.add_argument("--cost-model", choices=("standard", "expanding"),
+    sub.add_argument("--cost-model", choices=[model.value for model in CostModel],
                      default=None, dest="cost_model")
     sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     _add_common_output_flags(sub)
     sub.set_defaults(handler=_cmd_search_eval)
 
     sub = subs.add_parser("sched-eval", help="worst-case schedule ratio sweep")
-    sub.add_argument("--strategy", choices=("exponential", "pseudo", "geometric-rr"),
-                     default="exponential")
+    sub.add_argument("--strategy", choices=_SCHED_STRATEGIES, default="exponential")
     sub.add_argument("--n", type=int, required=True, help="number of problems")
     sub.add_argument("--b", type=float, default=None,
                      help="length base (default: the strategy's optimum)")
     sub.add_argument("--r", type=int, default=1,
                      help="required repeats / rank for the chosen semantics "
                           "(and repeats per length for the pseudo strategy)")
-    sub.add_argument("--semantics", choices=_SEMANTICS_FLAGS, default="longest")
+    sub.add_argument("--semantics", choices=_SEMANTICS, default="longest")
     sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     _add_common_output_flags(sub)
     sub.set_defaults(handler=_cmd_sched_eval)
@@ -416,8 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-pass detection probability")
     sub.add_argument("--b", type=float, default=None,
                      help="exploration base (default: tuned for p)")
-    sub.add_argument("--direction", choices=("both", "outward-only"),
-                     default="both")
+    sub.add_argument("--direction", choices=_DIRECTIONS, default="both")
     sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
     _add_common_output_flags(sub)
     sub.set_defaults(handler=_cmd_prob_search)
@@ -431,18 +422,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_rand_sched)
 
     sub = subs.add_parser("opt-base", help="best base for a strategy family")
-    sub.add_argument("--target", choices=("beta-r", "search", "sched"),
-                     required=True)
+    sub.add_argument("--target", choices=_OPT_TARGETS, required=True)
     sub.add_argument("--n", type=int, required=True,
                      help="problem count (ray count for --target search)")
     _add_common_output_flags(sub)
     sub.set_defaults(handler=_cmd_opt_base)
 
     sub = subs.add_parser("tradeoff", help="count vs ceiling at query times")
-    sub.add_argument("--model",
-                     choices=("preemptive", "contracts", "turns",
-                              "turns-expanding"),
-                     required=True)
+    sub.add_argument("--model", choices=_TRADEOFF_MODELS, required=True)
     sub.add_argument("--n", type=int, default=1,
                      help="problem count (preemptive, contracts)")
     sub.add_argument("--m", type=int, default=2,

@@ -15,7 +15,6 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-ABS_TOL = 1e-9
 DEFAULT_HORIZON = 200
 # Jobs a time walk may read before it gives up on reaching its time.
 MAX_WALK_JOBS = 1_000_000

@@ -149,12 +149,20 @@ def _check_bound(b: float, size: int = 1, budget: float = 0.0) -> None:
 
 def beta_r_closed_form(n: int, b: float) -> float:
     """Exact acceleration ratio n b^(n+1) ln b / ((b^n - 1)(b - 1)) of
-    the randomized schedule."""
+    the randomized schedule.
+
+    Where b^(n+1) is finite but n b^(n+1) ln b overflows, the ratio comes
+    from the equal form n b ln b / ((b - 1)(1 - b^-n)) rather than as inf.
+    Everywhere else the first order stays: the two differ in their last
+    bits, and the curve, the catalog and rand-sched print this value."""
     _check_bound(b, n)
     try:
-        return n * b ** (n + 1) * math.log(b) / ((b**n - 1.0) * (b - 1.0))
+        numerator = n * b ** (n + 1) * math.log(b)
     except OverflowError:
         raise ValueError(f"b ** (n + 1) overflows float range at n = {n}, b = {b}") from None
+    if math.isinf(numerator):
+        return n * b * math.log(b) / ((b - 1.0) * (1.0 - b**-n))
+    return numerator / ((b**n - 1.0) * (b - 1.0))
 
 
 def turn_bound(m: int, b: float, d: float, cost_model: CostModel) -> float:

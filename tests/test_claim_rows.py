@@ -68,3 +68,21 @@ def test_no_measurement_is_carried_between_runs(monkeypatch):
     second = run_claim_catalog(PROB_SEARCH)
     assert len(calls) == 18
     assert first == second
+
+
+def test_sched_ratio_rows_share_the_sweep_at_equal_points(monkeypatch):
+    # sched-ratio-optimal at n=1 sweeps base 2.0, as sched-ratio-base
+    # does at (1, 2.0).
+    calls = _count_calls(monkeypatch, "acceleration_ratio")
+    checks = run_claim_catalog(ClaimConfig(subset="sched-ratio"))
+    assert len(checks) == 10
+    assert len(calls) == 9
+
+
+def test_pseudo_rows_share_the_pseudo_sweep(monkeypatch):
+    # pseudo-vs-exponential reuses pseudo-repeat-ratio's sweep at (1, 2)
+    # and adds only its rank-r exponential sweep.
+    calls = _count_calls(monkeypatch, "acceleration_ratio")
+    checks = run_claim_catalog(ClaimConfig(subset="pseudo-"))
+    assert len(checks) == 7
+    assert len(calls) == 7

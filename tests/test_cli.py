@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from raysched import cli
 from raysched.cli import console_main
 from raysched.numopt import closed_form
 
@@ -62,6 +63,16 @@ class TestSearchEval:
         )
         assert code == 2
         assert "expanding" in err
+
+    def test_cost_model_mismatch_is_reported_before_the_ray_count(self, capsys):
+        # The default base for one ray would fail on the ray count; the
+        # cost-model check comes first.
+        code, out, err = run_cli(
+            capsys, "search-eval", "--m", "1", "--cost-model", "expanding"
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: strategy 'exponential' uses the standard cost "
+                       "model, not expanding\n")
 
 
 class TestSchedEval:
@@ -185,6 +196,29 @@ class TestTradeoff:
         (row,) = rows_of(out)
         assert int(row["count"]) == 3
         assert float(row["bound"]) == pytest.approx(math.log2(6.0) + 1.0)
+
+
+# One cheap call per entry of each choice table; the row names the entry.
+TABLE_CALLS = (
+    [("search-eval", "--strategy", name, "--m", "2", "--horizon", "20")
+     for name in cli._SEARCH_STRATEGIES]
+    + [("sched-eval", "--strategy", name, "--n", "2", "--horizon", "20")
+       for name in cli._SCHED_STRATEGIES]
+    + [("sched-eval", "--semantics", name, "--n", "2", "--horizon", "20")
+       for name in cli._SEMANTICS]
+    + [("prob-search", "--direction", name, "--m", "2", "--p", "0.5", "--horizon", "20")
+       for name in cli._DIRECTIONS]
+    + [("opt-base", "--target", name, "--n", "2") for name in cli._OPT_TARGETS]
+    + [("tradeoff", "--model", name) for name in cli._TRADEOFF_MODELS]
+)
+
+
+@pytest.mark.parametrize("argv", TABLE_CALLS, ids=" ".join)
+def test_every_choice_table_entry_dispatches(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    (row,) = rows_of(out)
+    assert row[argv[1][2:]] == argv[2]
 
 
 class TestCurve:

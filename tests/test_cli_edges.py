@@ -227,8 +227,10 @@ def test_values_at_the_edge_of_the_named_ranges_are_unchanged():
     only where the formula used to raise."""
     assert lemma_root(math.nextafter(2e-9, 1)) == 1e-9  # bisection's left end
     assert math.isinf(expected_acc_ratio_mc_contracts(1, 5e-324, 3.0, 2).asymptotic)
-    assert beta_r_closed_form(180, 50.0) == 180 * 50.0 ** 181 * math.log(50.0) / (
-        (50.0 ** 180 - 1.0) * 49.0)
+    # n b^(n+1) ln b overflows here although b^(n+1) does not, so the
+    # ratio comes from its equal second form instead of as inf.
+    assert beta_r_closed_form(180, 50.0) == 180 * 50.0 * math.log(50.0) / (
+        49.0 * (1.0 - 50.0 ** -180))
 
 
 def test_a_walk_that_cannot_reach_its_time_stops_at_its_budget(monkeypatch):

@@ -8,6 +8,7 @@ from raysched import numopt
 from raysched.numopt import (
     _TABLE,
     Bracket,
+    beta_r_closed_form,
     beta_r_star,
     bisect_root,
     closed_form,
@@ -252,6 +253,28 @@ class TestBetaRStar:
     def test_n_validated(self):
         with pytest.raises(ValueError):
             beta_r_star(0)
+
+
+class TestBetaRClosedForm:
+    """The randomized schedule's printed ratio (rand-sched's beta_r column)
+    has a second evaluation order, used only where the first one's
+    numerator n b^(n+1) ln b overflows although b^(n+1) does not."""
+
+    def test_numerator_overflow_uses_the_equal_form(self):
+        n, b = 3870, 1.2
+        assert math.isfinite(b ** (n + 1))
+        assert math.isinf(n * b ** (n + 1) * math.log(b))
+        value = beta_r_closed_form(n, b)
+        assert value == n * b * math.log(b) / ((b - 1.0) * (1.0 - b**-n))
+        assert value == pytest.approx(4233.50655, rel=1e-9)
+
+    def test_in_range_point_keeps_its_bits(self):
+        # The equal form rounds to a neighbouring float here, so using it
+        # everywhere would change printed values.
+        n, b = 80, 1.0123
+        assert beta_r_closed_form(n, b).hex() == "0x1.0201c842bedb5p+7"
+        assert (n * b * math.log(b) / ((b - 1.0) * (1.0 - b**-n))).hex() != (
+            "0x1.0201c842bedb5p+7")
 
 
 class TestFigureCurve:
