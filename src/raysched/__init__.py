@@ -6,8 +6,10 @@ adversaries: excursion plans that sweep rays for a hidden target, and
 job schedules that trade running time for solution quality.  Evaluators
 measure competitive and acceleration ratios directly from plan
 trajectories, stochastic variants handle per-pass detection
-probabilities and randomized schedules, and a claim catalog checks the
-measured numbers against their closed forms.
+probabilities and, by Monte Carlo, randomized schedules, and a claim
+catalog checks the measured numbers against their closed forms.  Every
+name exported here is read by a module of the package, or by a reader
+named in tests/test_source_lint.py.
 """
 
 from .claims import ClaimConfig, claim_ids, run_claim_catalog
@@ -16,7 +18,6 @@ from .core import (
     CostModel,
     DEFAULT_HORIZON,
     Excursion,
-    ExcursionStep,
     Job,
     McEstimate,
     PlanTag,
@@ -25,9 +26,6 @@ from .core import (
     SchedulePlan,
     SearchPlan,
     check_claim,
-    excursion_cost,
-    excursion_prefix,
-    schedule_prefix,
 )
 from .numopt import (
     Bracket,
@@ -58,7 +56,6 @@ from .sched_eval import (
     acceleration_ratio,
     aggregate_interruptible,
     contract_count,
-    ell,
     longest_completed,
     preemption_count,
     r_times_completed,
@@ -86,7 +83,6 @@ from .strategies import (
     make_geometric_search,
     make_nm_search,
     make_pseudo_exponential_schedule,
-    make_randomized_schedule_explicit,
     optimal_base_schedule,
     optimal_base_search,
 )
@@ -102,7 +98,6 @@ __all__ = [
     "DetectionModel",
     "DirectionRule",
     "Excursion",
-    "ExcursionStep",
     "FIRST_VISIT",
     "Job",
     "McEstimate",
@@ -128,9 +123,6 @@ __all__ = [
     "contract_bound",
     "contract_count",
     "cost_to_visit",
-    "ell",
-    "excursion_cost",
-    "excursion_prefix",
     "expected_acc_ratio_mc_contracts",
     "expected_search_cost",
     "figure1_curve",
@@ -145,7 +137,6 @@ __all__ = [
     "make_geometric_search",
     "make_nm_search",
     "make_pseudo_exponential_schedule",
-    "make_randomized_schedule_explicit",
     "mc_randomized_schedule_detail",
     "mc_randomized_schedule_ratio",
     "mc_search_cost",
@@ -158,7 +149,6 @@ __all__ = [
     "rth_largest_completed",
     "rth_visit",
     "run_claim_catalog",
-    "schedule_prefix",
     "standard_t_grid",
     "tuned_search_base",
     "turn_bound",

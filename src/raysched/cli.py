@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from .claims import ClaimConfig, claim_ids, run_claim_catalog
-from .core import DEFAULT_HORIZON, CostModel
+from .core import DEFAULT_HORIZON, CostModel, RatioReport
 from .numopt import (
     beta_r_closed_form,
     beta_r_star,
@@ -115,6 +115,13 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
+def _ratio_columns(report: RatioReport) -> dict:
+    """A report's finite_sup, limit_sup and asymptotic columns, in that
+    order; the ratio subcommands splat them into their rows."""
+    return {"finite_sup": report.finite_sup, "limit_sup": report.limit_sup,
+            "asymptotic": report.asymptotic}
+
+
 # Choice tables: a flag value maps to what it runs, and the parser takes its
 # choices from the table.  Entries call through this module's globals, so a
 # wrapper set there (perfbench's tracer) sees each call.
@@ -151,9 +158,7 @@ def _cmd_search_eval(args) -> tuple[list[dict], int]:
             "r": args.r,
             "cost_model": natural.value,
             "horizon": args.horizon,
-            "finite_sup": report.finite_sup,
-            "limit_sup": report.limit_sup,
-            "asymptotic": report.asymptotic,
+            **_ratio_columns(report),
             "witness_ray": ray,
             "witness_distance": point,
         }
@@ -191,9 +196,7 @@ def _cmd_sched_eval(args) -> tuple[list[dict], int]:
             "r": args.r,
             "semantics": args.semantics,
             "horizon": args.horizon,
-            "finite_sup": report.finite_sup,
-            "limit_sup": report.limit_sup,
-            "asymptotic": report.asymptotic,
+            **_ratio_columns(report),
             "witness_time": report.witness,
         }
     ]
@@ -216,9 +219,7 @@ def _cmd_prob_search(args) -> tuple[list[dict], int]:
             "b": b,
             "direction": args.direction,
             "horizon": args.horizon,
-            "finite_sup": report.finite_sup,
-            "limit_sup": report.limit_sup,
-            "asymptotic": report.asymptotic,
+            **_ratio_columns(report),
             "lower_bound": closed_form("prob-search-lower", m=args.m, p=args.p),
             "upper_bound": closed_form("prob-search-upper", m=args.m, p=args.p),
         }

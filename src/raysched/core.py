@@ -50,8 +50,6 @@ class PlanTag:
     kind: str
     base: Optional[float] = None
     redundancy: int = 1
-    epsilon: Optional[float] = None
-    permutation: Optional[tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -140,35 +138,18 @@ class CyclicDepths:
         return Excursion(ray=i % self.m, depth_inner=inner[i - lo], depth_outer=outer[i - lo])
 
 
-def excursion_cost(plan: SearchPlan, exc: Excursion) -> float:
-    """Distance charged for one excursion under the plan's cost model.
-
-    Under EXPANDING only the new territory depth_outer - depth_inner is
-    charged.  Under STANDARD the walker starts at the origin, so it pays
-    the approach to depth_inner, then traversals sweeps of the segment,
-    then the return to the origin from whichever end the final sweep
-    left it at (outer end after an odd number of sweeps).
-    """
-    return _cost(plan, exc.depth_inner, exc.depth_outer)
-
-
 def _cost(plan: SearchPlan, inner, outer):
-    """excursion_cost of depths that are floats or aligned arrays."""
+    """Distance charged for excursions from depth inner out to outer, as
+    floats or aligned arrays.  Under EXPANDING only the new territory
+    outer - inner is charged.  Under STANDARD the walker starts at the
+    origin, so it pays the approach to inner, then traversals sweeps of
+    the segment, then the return to the origin from whichever end the
+    final sweep left it at (outer end after an odd number of sweeps)."""
     if plan.cost_model is CostModel.EXPANDING:
         return outer - inner
     r = plan.traversals
     back = outer if r % 2 == 1 else inner
     return inner + r * (outer - inner) + back
-
-
-@dataclass(frozen=True)
-class ExcursionStep:
-    """An excursion paired with its own cost and the cumulative cost
-    of the plan up to and including it."""
-
-    excursion: Excursion
-    cost: float
-    cumulative_cost: float
 
 
 def _check_room(size: int, count: int, unit: str) -> None:
@@ -194,8 +175,8 @@ class SearchTrajectory:
     prefix copied.  The first index that cannot be materialized (the plan
     raises, or cum leaves float range) ends the prefix, and its error is
     raised to every caller that needs it.  hint appends advice to the
-    overflow message (excursion_prefix and competitive_ratio give it,
-    the pass streams do not).
+    overflow message (competitive_ratio gives it, the pass streams do
+    not).
     """
 
     def __init__(self, plan: SearchPlan, *, hint: bool = False) -> None:
@@ -289,19 +270,6 @@ class SearchTrajectory:
             self._last = chain[np.concatenate((~same, [True]))]
             self._linked = hi
         return self._next
-
-
-def excursion_prefix(plan: SearchPlan, count: int) -> list[ExcursionStep]:
-    """Materialize the first count excursions with running costs.
-
-    Raises ValueError if the cumulative cost stops being finite, which
-    happens when excursion depths overflow float range; callers should
-    shrink the horizon or the base rather than trust infinities.
-    """
-    t = SearchTrajectory(plan, hint=True)
-    t.reach(count)
-    rows = zip(*(c[:max(count, 0)].tolist() for c in (t.ray, t.inner, t.outer, t.cost, t.cum)))
-    return [ExcursionStep(Excursion(r, a, b), c, s) for r, a, b, c, s in rows]
 
 
 @dataclass(frozen=True)
@@ -461,9 +429,11 @@ class ScheduleTrajectory:
 def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, float, float]]:
     """Every job that starts strictly before time t, in schedule order, as
     (problem, length, start, finish), read by one plan.job_spec call each;
-    a negative or NaN t raises at the call.  Time walks read 1 to 108 jobs
-    in the catalog and bench; over that mix this loop costs a quarter of
-    one trajectory block per walk (ROADMAP item 3).  Each job is checked in
+    the job that spans t comes whole, on an interruptible plan too, and
+    contract_count and preemption_count count these jobs.  A negative or
+    NaN t raises at the call.  Time walks read 1 to 108 jobs in the
+    catalog and bench; over that mix this loop costs a quarter of one
+    trajectory block per walk (ROADMAP item 3).  Each job is checked in
     the trajectory's order: job_spec, the clock's overflow, Job's span rule
     on the full length, then a clock that no longer advances (a length
     under the rule's 1e-12 absolute tolerance).  A walk that has not
@@ -486,21 +456,6 @@ def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, floa
             yield problem, length, clock, finish
             clock, i = finish, i + 1
     return walk()
-
-
-def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
-    """All jobs that start strictly before horizon, in schedule order.
-
-    The last job is cut at the horizon when the plan is interruptible;
-    otherwise it is included whole (its finish may exceed the horizon,
-    representing the run in progress).
-    """
-    return [
-        Job(problem, horizon - start, start, horizon)
-        if plan.interruptible and finish > horizon
-        else Job(problem, length, start, finish)
-        for problem, length, start, finish in jobs_before(plan, horizon)
-    ]
 
 
 @dataclass(frozen=True)

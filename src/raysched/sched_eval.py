@@ -114,34 +114,6 @@ def _credit_table(problem: np.ndarray, length: np.ndarray, n: int,
     return np.maximum.accumulate(table, axis=0)
 
 
-def ell(
-    plan: SchedulePlan,
-    problem: int,
-    t: float,
-    semantics: ScheduleSemantics,
-) -> float:
-    """Trusted progress on `problem` by wall-clock time t.
-
-    Runs finishing exactly at t count.  Under aggregate semantics the
-    run in progress at t contributes its elapsed portion, since that
-    work is resumable.
-    """
-    if not (0 <= problem < plan.problem_count):
-        raise ValueError(f"problem {problem} outside [0, {plan.problem_count})")
-    lengths: list[float] = []
-    partial = 0.0
-    for p, length, start, finish in jobs_before(plan, t):
-        if p != problem:
-            continue
-        if finish <= t:
-            lengths.append(length)
-        elif semantics.kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
-            partial = t - start
-    table = _credit_table(np.zeros(len(lengths), dtype=np.intp),
-                          np.array(lengths, dtype=float), 1, semantics)
-    return float(table[-1, 0]) + partial
-
-
 def acceleration_ratio(
     plan: SchedulePlan,
     semantics: ScheduleSemantics = ScheduleSemantics(SemanticsKind.LONGEST_COMPLETED),

@@ -410,8 +410,16 @@ def _mean_and_stderr(d: np.ndarray) -> tuple[float, float]:
     for d >= 0.  The deviations are taken in place, with np.std's own
     steps, so d is overwritten and no temporary of its size is made.
     Deviations whose squares could pass float range are scaled by 2^-s
-    first, and the standard error by 2^s after, exactly."""
-    mean = float(np.add.reduce(d)) / d.size
+    first, and the standard error by 2^s after, exactly.  Where np.mean
+    would overflow on finite d, the plain sum overflows once, under the
+    caller's errstate, and is taken again on d scaled by 2^-scale; the
+    mean and standard error are scaled back by 2^scale, exactly."""
+    total, scale = float(np.add.reduce(d)), 0
+    if math.isinf(total):
+        scale = d.size.bit_length() + 1
+        np.ldexp(d, -scale, out=d)
+        total = float(np.add.reduce(d))
+    mean = total / d.size
     if d.size == 1:
         return mean, 0.0
     np.subtract(d, mean, out=d)
@@ -424,7 +432,8 @@ def _mean_and_stderr(d: np.ndarray) -> tuple[float, float]:
         np.ldexp(d, -s, out=d)
     np.square(d, out=d)
     variance = float(np.add.reduce(d)) / (d.size - 1)
-    return mean, math.ldexp(math.sqrt(variance) / math.sqrt(d.size), s)
+    stderr = math.ldexp(math.sqrt(variance) / math.sqrt(d.size), s)
+    return math.ldexp(mean, scale), math.ldexp(stderr, scale)
 
 
 def mc_randomized_schedule_detail(

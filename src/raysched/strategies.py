@@ -8,7 +8,7 @@ the tagging and get purely numeric evaluation.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -200,35 +200,6 @@ def make_geometric_rr_schedule(n: int, b: float) -> SchedulePlan:
         generator=_phased_jobs(n, b, 1, n),
         interruptible=True,
         tag=PlanTag(kind="geometric-rr", base=float(b)),
-    )
-
-
-def make_randomized_schedule_explicit(
-    n: int, b: float, permutation: Sequence[int], epsilon: float
-) -> SchedulePlan:
-    """The randomized round-robin plan with its random choices pinned:
-    the phase offset epsilon in [0, 1) stretches every length to
-    b^(i + epsilon), and the permutation fixes which problem each
-    residue class mod n serves."""
-    if n < 1:
-        raise ValueError(f"need at least 1 problem, got {n}")
-    _require_base(b)
-    perm = tuple(int(x) for x in permutation)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"permutation must rearrange 0..{n - 1}, got {perm}")
-    if not (0 <= epsilon < 1):
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-
-    def gen(i: int) -> tuple[int, float]:
-        return perm[i % n], float(b) ** (i + epsilon)
-
-    return SchedulePlan(
-        problem_count=n,
-        generator=gen,
-        interruptible=False,
-        tag=PlanTag(
-            kind="randomized", base=float(b), epsilon=epsilon, permutation=perm
-        ),
     )
 
 

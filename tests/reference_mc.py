@@ -1,6 +1,7 @@
-"""Two oracles for raysched.stochastic.mc_randomized_schedule_detail:
-the sort-based Monte Carlo below, and E[D] in closed form
-(``exact_d_mean``).
+"""Oracles for raysched.stochastic.mc_randomized_schedule_detail: the
+sort-based Monte Carlo below, E[D] in closed form (``exact_d_mean``),
+and the randomized plan with its random choices pinned
+(``make_randomized_schedule_explicit``), which replays one trial.
 
 The Monte Carlo is the estimator as it was before the queried
 problem's slot became the rank of its key: each trial's permutation is
@@ -15,16 +16,13 @@ import math
 
 import numpy as np
 
+from raysched.core import PlanTag, SchedulePlan
 from raysched.stochastic import RandomizedScheduleParams
 
 
-def mc_randomized_schedule_detail(
-    params: RandomizedScheduleParams, trials: int, seed: int
-) -> list[dict]:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+def samples(params: RandomizedScheduleParams, trials: int, seed: int):
+    """(k, delta, t, D) at each grid point, D holding one draw a trial."""
     n, b = params.n, params.b
-    rows: list[dict] = []
     for idx, (k, delta) in enumerate(params.t_grid):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
@@ -47,7 +45,16 @@ def mc_randomized_schedule_detail(
         slot_of_queried = np.argmax(perms == 0, axis=1)
         staleness = (run_index - 1 - slot_of_queried) % n
         last_index = run_index - 1 - staleness
-        sample = b ** (last_index + eps)
+        yield k, delta, t, b ** (last_index + eps)
+
+
+def mc_randomized_schedule_detail(
+    params: RandomizedScheduleParams, trials: int, seed: int
+) -> list[dict]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rows: list[dict] = []
+    for k, delta, t, sample in samples(params, trials, seed):
         mean = float(np.mean(sample))
         # Past 2^256 the sample is scaled by a power of two, which changes
         # no bit of its standard error but keeps the squares in range.
@@ -83,3 +90,23 @@ def exact_d_mean(n: int, b: float, k: int, delta: float) -> float:
     b_delta = b**delta
     run_integral = b ** (k - 1) * (b_delta - 1.0) + b ** (k - 2) * (b - b_delta)
     return math.fsum(b**-s for s in range(n)) * run_integral / (n * math.log(b))
+
+
+def make_randomized_schedule_explicit(
+    n: int, b: float, permutation, epsilon: float
+) -> SchedulePlan:
+    """The randomized round-robin plan with its random choices pinned:
+    the phase offset epsilon in [0, 1) stretches every length to
+    b^(i + epsilon), and the permutation fixes which problem each
+    residue class mod n serves."""
+    perm = tuple(int(x) for x in permutation)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"permutation must rearrange 0..{n - 1}, got {perm}")
+    if not (0 <= epsilon < 1):
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+
+    def gen(i: int) -> tuple[int, float]:
+        return perm[i % n], float(b) ** (i + epsilon)
+
+    return SchedulePlan(problem_count=n, generator=gen,
+                        tag=PlanTag(kind="randomized", base=float(b)))

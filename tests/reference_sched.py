@@ -1,5 +1,6 @@
 """Scalar reference walks of a schedule plan, the oracles for
-raysched.sched_eval and raysched.core.
+raysched.sched_eval, raysched.core and the randomized schedule's Monte
+Carlo.
 
 acceleration_ratio generates jobs one index at a time through
 plan.job_spec, validates them as Job records and takes every query's
@@ -12,15 +13,17 @@ expected_contracts is expected_acc_ratio_mc_contracts as a per-job
 loop, before the package ran the credit recurrence once per problem's
 column and took each query's least credit over a window of events.
 
-ell, contract_count and schedule_prefix are the three hand-written walks
-to a time that the package replaced with one loop (core.jobs_before).
-They keep their own loops, with these rules in common:
+jobs_before and contract_count are hand-written walks to a time, the
+oracles for the package's one walk (core.jobs_before) and the counts
+that read it.  ell, a problem's credit at wall-clock time t, has no
+twin in the package; it is the oracle that replays the randomized
+schedule's Monte Carlo trials.  The walks keep their own loops, with
+these rules in common:
 - a time that is not >= 0 (negative or nan) raises "time must be >= 0";
-  schedule_prefix returned [] there and the others let nan through as 0;
 - clock overflow raises "schedule clock overflowed at job i";
 - every job that starts before t is checked in full (overflow, Job's
   span rule on the whole length, a stalled clock), including the job
-  that spans t, which ell skipped and schedule_prefix checked only as cut.
+  that spans t, which jobs_before yields whole.
 """
 
 from __future__ import annotations
@@ -133,20 +136,17 @@ def contract_count(plan: SchedulePlan, t: float) -> int:
     return count
 
 
-def schedule_prefix(plan: SchedulePlan, horizon: float) -> list[Job]:
-    """Jobs starting strictly before horizon, the last one cut at the
-    horizon on an interruptible plan."""
+def jobs_before(plan: SchedulePlan, horizon: float) -> list[tuple[int, float, float, float]]:
+    """(problem, length, start, finish) of every job starting strictly
+    before horizon, the last one whole."""
     _time_checked(horizon)
-    out: list[Job] = []
+    out: list[tuple[int, float, float, float]] = []
     t = 0.0
     i = 0
     while t < horizon:
         problem, length = plan.job_spec(i)
         finish = _advance(t, length, i)
-        if plan.interruptible and finish > horizon:
-            out.append(Job(problem=problem, length=horizon - t, start=t, finish=horizon))
-        else:
-            out.append(Job(problem=problem, length=length, start=t, finish=finish))
+        out.append((problem, length, t, finish))
         t = finish
         i += 1
     return out

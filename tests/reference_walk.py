@@ -4,17 +4,39 @@ sweeps in raysched.search_eval and raysched.stochastic.
 Every excursion is walked move by move from its waypoint list, one
 target at a time, exactly as the evaluators did before they became
 columnar: the same float operations in the same order, so results must
-agree with the package bit for bit.  The prefix is materialized lazily
-and memoized, and the furthest index generated is recorded, so a test
-can also check how far the package looks ahead.
+agree with the package bit for bit.  Each excursion's cost and step
+record are written here on their own, the cost as the walk it charges
+in the package's operand order.  The prefix is materialized lazily and
+memoized, and the furthest index generated is recorded, so a test can
+also check how far the package looks ahead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from raysched.core import CostModel, ExcursionStep, SearchPlan, excursion_cost
+from raysched.core import CostModel, Excursion, SearchPlan
+
+
+class Step(NamedTuple):
+    """An excursion with its own cost and the running cost through it."""
+
+    excursion: Excursion
+    cost: float
+    cumulative_cost: float
+
+
+def excursion_cost(plan: SearchPlan, exc: Excursion) -> float:
+    """Under EXPANDING the extension alone.  Under STANDARD the approach
+    from the origin to depth_inner, the traversals sweeps between the two
+    depths, then the way home from where the last sweep ends: depth_outer
+    after an odd count, depth_inner after an even one."""
+    inner, outer = exc.depth_inner, exc.depth_outer
+    if plan.cost_model is CostModel.EXPANDING:
+        return outer - inner
+    home = outer if plan.traversals % 2 else inner
+    return inner + plan.traversals * (outer - inner) + home
 
 
 class LazyPrefix:
@@ -23,9 +45,9 @@ class LazyPrefix:
     def __init__(self, plan: SearchPlan, advice: str = "") -> None:
         self.plan = plan
         self.advice = advice  # appended to the cost overflow's message
-        self.steps: list[ExcursionStep] = []
+        self.steps: list[Step] = []
 
-    def __getitem__(self, i: int) -> ExcursionStep:
+    def __getitem__(self, i: int) -> Step:
         while len(self.steps) <= i:
             k = len(self.steps)
             exc = self.plan.excursion(k)
@@ -34,7 +56,7 @@ class LazyPrefix:
             if not math.isfinite(cum):
                 raise ValueError(f"cumulative cost overflowed at excursion {k}"
                                  + self.advice)
-            self.steps.append(ExcursionStep(exc, c, cum))
+            self.steps.append(Step(exc, c, cum))
         return self.steps[i]
 
     @property
@@ -54,7 +76,7 @@ def waypoints(exc, traversals: int) -> list[float]:
 
 def step_visit_costs(
     plan: SearchPlan,
-    step: ExcursionStep,
+    step: Step,
     ray: int,
     point: float,
     *,

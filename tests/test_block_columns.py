@@ -18,7 +18,6 @@ from raysched.core import (
     Excursion,
     SearchPlan,
     SearchTrajectory,
-    excursion_prefix,
 )
 from raysched import search_eval
 from raysched.search_eval import competitive_ratio, cost_to_visit, rth_visit
@@ -49,6 +48,16 @@ def _family(name, m, b):
 FAMILIES = ["exponential", "nm-1", "nm-2", "nm-3", "geometric"]
 
 
+def _prefix(plan, count):
+    """The first count excursions as the trajectory's ray, inner, outer,
+    cost and cum columns, with competitive_ratio's overflow advice."""
+    trajectory = SearchTrajectory(plan, hint=True)
+    trajectory.reach(count)
+    columns = (trajectory.ray, trajectory.inner, trajectory.outer, trajectory.cost,
+               trajectory.cum)
+    return [column[:count].tolist() for column in columns]
+
+
 def _edge_bases(name, m, count):
     """The two bases around the float-range edge of a count-excursion
     prefix, bisected on the per-index path: the prefix just fits at the
@@ -59,7 +68,7 @@ def _edge_bases(name, m, count):
         if mid in (lo, hi):
             break
         try:
-            excursion_prefix(_per_index(_family(name, m, mid)), count)
+            _prefix(_per_index(_family(name, m, mid)), count)
             lo = mid
         except ValueError:
             hi = mid
@@ -132,7 +141,7 @@ def test_block_and_per_index_paths_agree(name, m, b):
                 max_excursions=HORIZON), 8)))
     for k in (1, 2, 3):
         agree(lambda q: cost_to_visit(q, (1, 3.0), k, max_excursions=HORIZON))
-    agree(lambda q: excursion_prefix(q, HORIZON + 3 * m))
+    agree(lambda q: _prefix(q, HORIZON + 3 * m))
 
 
 def _scalar_depths(name, m, b, i):
@@ -165,9 +174,9 @@ def test_block_depths_equal_the_scalar_formulas(name):
 
 def test_edge_bases_straddle_the_range():
     inside, past = _edge_bases("exponential", 2, HORIZON + 6)
-    assert len(excursion_prefix(make_exponential_search(2, inside), HORIZON + 6)) == 46
+    assert len(_prefix(make_exponential_search(2, inside), HORIZON + 6)[0]) == 46
     with pytest.raises(ValueError, match="overflow"):
-        excursion_prefix(make_exponential_search(2, past), HORIZON + 6)
+        _prefix(make_exponential_search(2, past), HORIZON + 6)
 
 
 def _recorded(plan):
@@ -246,7 +255,7 @@ def test_overflow_past_the_count_waits_for_a_caller_that_needs_it():
         trajectory.reach(2000, 5000)
     assert again.value is first.value
     with pytest.raises(ValueError, match=f"^{first.value}; reduce the horizon"):
-        excursion_prefix(_per_index(plan), failing + 1)
+        _prefix(_per_index(plan), failing + 1)
 
 
 def test_generator_overflow_keeps_its_index_and_message():
@@ -272,14 +281,14 @@ def test_block_checks_keep_the_excursion_messages():
                       tag=make_exponential_search(2, 2.0).tag)
     message = r"^need 0 <= depth_inner < depth_outer, got \(8.0, 8.0\)$"
     with pytest.raises(ValueError, match=message):
-        excursion_prefix(plan, 5)
+        _prefix(plan, 5)
     with pytest.raises(ValueError, match=message):
-        excursion_prefix(_per_index(plan), 5)
+        _prefix(_per_index(plan), 5)
     narrowed = dataclasses.replace(make_exponential_search(3, 2.0), ray_count=2)
     message = "^excursion 2 targets ray 2 but plan has 2 rays$"
     for twin in (narrowed, _per_index(narrowed)):
         with pytest.raises(ValueError, match=message):
-            excursion_prefix(twin, 3)
+            _prefix(twin, 3)
 
 
 # Indices on either side of the memo's block edges.

@@ -10,16 +10,13 @@ from raysched.core import (
     Job,
     RatioReport,
     Relation,
+    SearchTrajectory,
     check_claim,
-    excursion_cost,
-    excursion_prefix,
-    schedule_prefix,
+    jobs_before,
 )
 from raysched.strategies import (
     make_custom_search,
     make_exponential_search,
-    make_geometric_rr_schedule,
-    make_geometric_search,
     make_exponential_schedule,
 )
 
@@ -44,53 +41,53 @@ class TestExcursion:
             Excursion(ray=0, depth_inner=-0.5, depth_outer=2.0)
 
 
+def _trajectory(plan, count):
+    trajectory = SearchTrajectory(plan)
+    trajectory.reach(count)
+    return trajectory
+
+
+def _first_cost(exc, **plan_fields):
+    """The trajectory's cost column at a custom plan's first excursion."""
+    return _trajectory(make_custom_search(2, lambda i: exc, **plan_fields), 1).cost[0]
+
+
 class TestExcursionCost:
     def test_standard_single_sweep_is_round_trip(self):
-        plan = make_exponential_search(2, 2.0)
-        exc = Excursion(ray=0, depth_inner=0.0, depth_outer=5.0)
-        assert excursion_cost(plan, exc) == 10.0
+        assert _first_cost(Excursion(ray=0, depth_inner=0.0, depth_outer=5.0)) == 10.0
 
     def test_standard_ignores_inner_approach_discount(self):
         # Walk 0 -> 5 -> 0 covers the approach below inner twice too.
-        plan = make_custom_search(2, lambda i: Excursion(0, 2.0, 5.0))
-        assert excursion_cost(plan, plan.excursion(0)) == 10.0
+        assert _first_cost(Excursion(0, 2.0, 5.0)) == 10.0
 
     def test_standard_three_sweeps(self):
         # 0 -> 5 -> 2 -> 5 -> 0 walks 5 + 3 + 3 + 5 = 16.
-        plan = make_custom_search(
-            2, lambda i: Excursion(0, 2.0, 5.0), traversals=3
-        )
-        assert excursion_cost(plan, plan.excursion(0)) == 16.0
+        assert _first_cost(Excursion(0, 2.0, 5.0), traversals=3) == 16.0
 
     def test_standard_two_sweeps_returns_from_inner(self):
         # 0 -> 5 -> 2 -> 0 walks 5 + 3 + 2 = 10.
-        plan = make_custom_search(
-            2, lambda i: Excursion(0, 2.0, 5.0), traversals=2
-        )
-        assert excursion_cost(plan, plan.excursion(0)) == 10.0
+        assert _first_cost(Excursion(0, 2.0, 5.0), traversals=2) == 10.0
 
     def test_expanding_charges_new_territory_only(self):
-        plan = make_geometric_search(2, 2.0)
         exc = Excursion(ray=0, depth_inner=2.0, depth_outer=5.0)
-        assert excursion_cost(plan, exc) == 3.0
+        assert _first_cost(exc, cost_model=CostModel.EXPANDING) == 3.0
 
 
 class TestExcursionPrefix:
     def test_cumulative_costs(self):
-        plan = make_exponential_search(2, 2.0)
-        steps = excursion_prefix(plan, 3)
-        assert [s.cost for s in steps] == [2.0, 4.0, 8.0]
-        assert [s.cumulative_cost for s in steps] == [2.0, 6.0, 14.0]
+        trajectory = _trajectory(make_exponential_search(2, 2.0), 3)
+        assert trajectory.cost[:3].tolist() == [2.0, 4.0, 8.0]
+        assert trajectory.cum[:3].tolist() == [2.0, 6.0, 14.0]
 
     def test_overflow_raises(self):
         plan = make_exponential_search(2, 10.0)
         with pytest.raises(ValueError, match="overflow"):
-            excursion_prefix(plan, 400)
+            _trajectory(plan, 400)
 
     def test_ray_out_of_range_rejected(self):
         plan = make_custom_search(2, lambda i: Excursion(5, 0.0, 1.0))
         with pytest.raises(ValueError, match="ray 5"):
-            excursion_prefix(plan, 1)
+            _trajectory(plan, 1)
 
 
 class TestJob:
@@ -104,26 +101,21 @@ class TestJob:
 
 
 class TestSchedulePrefix:
+    """The jobs jobs_before yields: the schedule's prefix up to a time."""
+
     def test_whole_jobs_until_horizon(self):
         plan = make_exponential_schedule(1, 2.0)
-        jobs = schedule_prefix(plan, 7.0)
-        assert [(j.start, j.finish) for j in jobs] == [(0.0, 1.0), (1.0, 3.0), (3.0, 7.0)]
+        jobs = list(jobs_before(plan, 7.0))
+        assert [(start, finish) for *_, start, finish in jobs] == [
+            (0.0, 1.0), (1.0, 3.0), (3.0, 7.0)]
 
     def test_noninterruptible_last_job_included_whole(self):
         plan = make_exponential_schedule(1, 2.0)
-        jobs = schedule_prefix(plan, 6.0)
-        assert jobs[-1].finish == 7.0
-        assert jobs[-1].length == 4.0
-
-    def test_interruptible_cut_at_horizon(self):
-        plan = make_geometric_rr_schedule(1, 2.0)
-        jobs = schedule_prefix(plan, 2.5)
-        assert jobs[-1].finish == 2.5
-        assert jobs[-1].length == 1.5
+        assert list(jobs_before(plan, 6.0))[-1] == (0, 4.0, 3.0, 7.0)
 
     def test_zero_horizon_is_empty(self):
         plan = make_exponential_schedule(1, 2.0)
-        assert schedule_prefix(plan, 0.0) == []
+        assert list(jobs_before(plan, 0.0)) == []
 
 
 class TestRatioReport:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_sched as ref
-from raysched.core import Excursion, Relation, check_claim, schedule_prefix
+from raysched.core import CostModel, Excursion, Relation, SearchTrajectory, check_claim
+from raysched.core import jobs_before
 from raysched.numopt import lemma_root
 from raysched.search_eval import cost_to_visit, turn_count
 from raysched.sched_eval import contract_count
@@ -16,7 +17,14 @@ from raysched.strategies import (
     make_exponential_search,
     make_geometric_rr_schedule,
 )
-from raysched.core import CostModel, excursion_cost
+
+
+def _cost(plan):
+    """The trajectory's cost column at the plan's first excursion."""
+    trajectory = SearchTrajectory(plan)
+    trajectory.reach(1)
+    return trajectory.cost[0]
+
 
 bases = st.floats(min_value=1.05, max_value=3.0, allow_nan=False)
 probabilities = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
@@ -37,13 +45,13 @@ def test_excursion_cost_matches_an_explicit_walk(inner, extension, traversals):
         pts.append(inner if pts[-1] == outer else outer)
     pts.append(0.0)
     walked = sum(abs(b - a) for a, b in zip(pts, pts[1:]))
-    assert math.isclose(excursion_cost(plan, exc), walked, rel_tol=1e-12)
+    assert math.isclose(_cost(plan), walked, rel_tol=1e-12)
     assert walked >= 2 * outer * (1.0 - 1e-12)
 
     expanding = make_custom_search(
         2, lambda i: exc, cost_model=CostModel.EXPANDING, traversals=traversals
     )
-    assert excursion_cost(expanding, exc) == outer - inner
+    assert _cost(expanding) == outer - inner
 
 
 @given(
@@ -57,9 +65,7 @@ def test_extra_sweeps_never_cost_less(inner, extension, traversals):
     longer = make_custom_search(2, lambda i: exc, traversals=traversals + 1)
     # Equality is possible (an extra sweep from depth 0 replaces the
     # return leg), so allow one ulp of rounding headroom.
-    assert excursion_cost(longer, exc) >= excursion_cost(shorter, exc) * (
-        1.0 - 1e-12
-    )
+    assert _cost(longer) >= _cost(shorter) * (1.0 - 1e-12)
 
 
 @settings(max_examples=50)
@@ -145,11 +151,8 @@ def test_schedule_prefix_is_contiguous_and_covers_the_horizon(
         if interruptible
         else make_exponential_schedule(n, b)
     )
-    jobs = schedule_prefix(plan, horizon)
-    assert jobs[0].start == 0.0
+    jobs = list(jobs_before(plan, horizon))
+    assert jobs[0][2] == 0.0
     for prev, cur in zip(jobs, jobs[1:]):
-        assert prev.finish == cur.start
-    if interruptible:
-        assert jobs[-1].finish == horizon
-    else:
-        assert jobs[-1].finish >= horizon
+        assert prev[3] == cur[2]
+    assert jobs[-1][2] < horizon <= jobs[-1][3]

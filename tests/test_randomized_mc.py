@@ -1,7 +1,7 @@
 """The randomized schedule's Monte Carlo against two oracles: the
 sort-based estimator in reference_mc.py, equal to the last bit, and the
-explicit randomized plan walked by ``ell`` with the same draws.  Also
-the Monte Carlo seed check."""
+explicit randomized plan in reference_mc.py walked by reference_sched's
+``ell`` with the same draws.  Also the Monte Carlo seed check."""
 
 import math
 
@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_mc as ref
+import reference_sched
 from raysched import stochastic
-from raysched.sched_eval import ell, longest_completed
+from raysched.sched_eval import longest_completed
 from raysched.stochastic import (
     DetectionModel,
     RandomizedScheduleParams,
@@ -20,10 +21,7 @@ from raysched.stochastic import (
     mc_search_cost,
     standard_t_grid,
 )
-from raysched.strategies import (
-    make_exponential_search,
-    make_randomized_schedule_explicit,
-)
+from raysched.strategies import make_exponential_search
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,11 +123,11 @@ def test_explicit_plan_replays_each_trial(n, b, seed):
         t = params.query_time(k, delta)
         lengths = []
         for permutation, offset in zip(perms, eps.tolist()):
-            plan = make_randomized_schedule_explicit(n, b, permutation, offset)
+            plan = ref.make_randomized_schedule_explicit(n, b, permutation, offset)
             completed = k if b**offset * (b**k - 1.0) / (b - 1.0) <= t else k - 1
             slot = permutation.tolist().index(0)
             last = completed - 1 - (completed - 1 - slot) % n
-            lengths.append(ell(plan, 0, t, longest_completed()))
+            lengths.append(reference_sched.ell(plan, 0, t, longest_completed()))
             assert lengths[-1] == b ** (last + offset)
         assert math.fsum(lengths) / trials == pytest.approx(row["d_mean"], rel=1e-12)
 

@@ -326,6 +326,27 @@ def test_callers_errstate_applies_inside_every_slice(three_workers):
     assert threading.active_count() == threads
 
 
+def test_a_sum_past_float_range_is_taken_again_scaled():
+    """At the points above, with the overflow ignored: the mean is the
+    draws' exact sum over 999, by math.fsum on the draws scaled by
+    2^-600, where their squares fit too; the standard error is np.std's
+    on the scaled draws; and the ratio is t over the mean."""
+    params = RandomizedScheduleParams(
+        n=2, b=3.0, t_grid=((645, 0.5), (645, 0.25), (645, 0.75))
+    )
+    with np.errstate(over="ignore"):
+        rows = mc_randomized_schedule_detail(params, 999, 0)
+        draws = [sample for *_, sample in ref.samples(params, 999, 0)]
+        assert all(math.isinf(float(np.add.reduce(sample))) for sample in draws)
+    for row, sample in zip(rows, draws):
+        scaled = np.ldexp(sample, -600)
+        exact = math.ldexp(math.fsum(scaled.tolist()) / 999, 600)
+        assert row["d_mean"] == pytest.approx(exact, rel=1e-13)
+        spread = math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(999), 600)
+        assert row["d_stderr"] == pytest.approx(spread, rel=1e-9)
+        assert row["ratio"] == row["t"] / row["d_mean"] > 0
+
+
 def test_many_slices_under_a_short_switch_interval(monkeypatch):
     """Four threads on any host, in chunks of 5 trials, with the
     interpreter switching threads every microsecond: threads that wrote

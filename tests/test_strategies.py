@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_mc import make_randomized_schedule_explicit
 from raysched.core import CostModel
 from raysched.strategies import (
     make_custom_schedule,
@@ -12,7 +13,6 @@ from raysched.strategies import (
     make_geometric_search,
     make_nm_search,
     make_pseudo_exponential_schedule,
-    make_randomized_schedule_explicit,
     optimal_base_schedule,
     optimal_base_search,
 )
@@ -104,6 +104,9 @@ class TestGeometricRrSchedule:
 
 
 class TestRandomizedSchedule:
+    """The randomized plan with its choices pinned, the trial replay
+    oracle in reference_mc."""
+
     def test_explicit_lengths(self):
         plan = make_randomized_schedule_explicit(2, 2.0, (1, 0), 0.5)
         problem, length = plan.job_spec(3)
