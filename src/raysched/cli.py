@@ -231,7 +231,12 @@ def _cmd_rand_sched(args) -> tuple[list[dict], int]:
     params = RandomizedScheduleParams(
         n=args.n, b=args.b, t_grid=standard_t_grid(args.n, args.b)
     )
-    detail = mc_randomized_schedule_detail(params, args.trials, args.seed)
+    import numpy as np  # only this handler needs it
+
+    # The kernel takes a sum of D that passes float range again, scaled,
+    # so the first sum's overflow is expected and not worth a warning.
+    with np.errstate(over="ignore"):
+        detail = mc_randomized_schedule_detail(params, args.trials, args.seed)
     reference = beta_r_closed_form(args.n, args.b)
     rows = [
         {

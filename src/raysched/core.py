@@ -194,8 +194,10 @@ class SearchTrajectory:
         """Materialize the first count excursions, or raise the error of
         the first one that cannot be.  A block read runs ahead up to
         twice the size, but not past bound, the furthest count the
-        caller may ask for; an error past count waits for a caller that
-        needs it.  Past MAX_TRAJECTORY excursions it raises."""
+        caller expects to need (a pass stream's end, or for
+        frontier_passes the count + m · passes excursions that hold every
+        pass on a factory plan); an error past count waits for a caller
+        that needs it.  Past MAX_TRAJECTORY excursions it raises."""
         while self.size < count:
             if self._error is not None:
                 raise self._error
@@ -346,7 +348,10 @@ class ScheduleTrajectory:
     jobs attribute, set by the factories) is read by block, with the
     checks of SchedulePlan.job_spec made on the arrays; any other plan
     (custom, or with its generator swapped) calls plan.job_spec once per
-    index.  Blocks at least double the prefix.  The first job that fails
+    index.  A read stops at its count and otherwise at least doubles the
+    prefix, with a floor of 4096 jobs on a block (so a count up to 4096
+    is one block call) and of 256 on job_spec, so a failing job at index
+    k is found after about max(2k, floor) jobs.  The first job that fails
     job_spec, overflows the clock or breaks Job's finish - start ==
     length rule ends the prefix, and its error is raised to every caller
     that needs it.
@@ -369,7 +374,8 @@ class ScheduleTrajectory:
                 raise self._error
             _check_room(self.size, count, "jobs")
             lo = self.size
-            hi = min(count, max(2 * lo, 256), MAX_TRAJECTORY)
+            hi = min(count, max(2 * lo, 256 if self._block is None else 4096),
+                     MAX_TRAJECTORY)
             if self._block is None:
                 self._fill(lo, *self._specs(lo, hi))
                 continue

@@ -78,8 +78,13 @@ def _passes(plan: SearchPlan, trajectory: SearchTrajectory, k, point, *,
     the offset drops out of the cost.  Under EXPANDING a pass happens
     once, when the segment covering the point completes, at that cum.
     The walk starts at cum - cost, which can differ from the previous
-    excursion's cum in the last bit, and adds each move's length in turn;
-    a missed move adds 0 times its offset, so nothing discarded overflows.
+    excursion's cum in the last bit, and adds each move's length in turn,
+    up to the last move; a missed move adds 0 times its offset, so
+    nothing discarded overflows.  The first move leaves the origin and
+    the last returns to it, but every target lies at depth > 0: there
+    0.0 <= point always holds, and point - 0.0 == point and
+    abs(outer - 0.0) == outer exactly, so neither move compares or
+    subtracts the origin waypoint.
     """
     inner, outer, cum = trajectory.inner[k], trajectory.outer[k], trajectory.cum[k]
     if plan.cost_model is CostModel.EXPANDING:
@@ -89,9 +94,12 @@ def _passes(plan: SearchPlan, trajectory: SearchTrajectory, k, point, *,
             yield (inner < point) & (point <= outer), cum
         return
     walked = cum - trajectory.cost[k]
-    pts = _waypoints(inner, outer, plan.traversals)
-    for t, (a, b) in enumerate(zip(pts, pts[1:])):
-        if t % 2 == 0 and t < plan.traversals:  # outward, to the far end
+    hit = point < outer if beyond else point <= outer  # out from the origin
+    yield hit, walked + hit * point
+    walked, a = walked + outer, outer
+    for t in range(1, plan.traversals):  # sweeps between the segment's ends
+        b = outer if t % 2 == 0 else inner
+        if t % 2 == 0:  # outward, to the far end
             if beyond:
                 hit = (a <= point) & (point < b)
             else:
@@ -100,7 +108,10 @@ def _passes(plan: SearchPlan, trajectory: SearchTrajectory, k, point, *,
         elif not outward_only:
             hit = (b <= point) & (point < a)
             yield hit, walked + hit * (a - point)
-        walked = walked + abs(b - a)
+        walked, a = walked + abs(b - a), b
+    if not outward_only:  # back to the origin
+        hit = point < a
+        yield hit, walked + hit * (a - point)
 
 
 def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
@@ -109,37 +120,48 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
     frontiers of excursions 0..count-1, each scanning its ray's later
     excursions, all in lock step: yields (hit, ordinal, cost) per move,
     full-width arrays valid until the next move.  Where hit is set, the
-    candidate's ordinal-th pass (from 0) costs cost; a done candidate has
-    ordinal passes.  Candidates keep their positions, so a sweep costs
-    O(count · passes).  With grow, the trajectory is extended while a
-    candidate waits for its ray's next excursion, up to the stream length
-    of visit_cost_stream; otherwise candidates end with the prefix.
+    candidate's ordinal-th pass (from 0) costs cost; ordinal is at most
+    passes.  Candidates keep their positions, so a sweep costs
+    O(count · passes); a live mask drops a candidate after its last pass,
+    or once its ray has no next excursion within its reach.  Without
+    grow, candidates end with the prefix.  With grow, the trajectory is
+    extended while a live candidate waits for its ray's next excursion,
+    up to the stream length of visit_cost_stream, and reads run ahead no
+    further than count + m · passes excursions until a candidate needs
+    more: on a plan that visits its m rays in turn and passes each
+    candidate on each of the next `passes` excursions of its ray (every
+    factory plan the detection series sweeps), these hold every pass.
     """
     trajectory.reach(count)
     point = trajectory.outer[:count]
     seen = np.zeros(count, dtype=np.intp)
+    live = np.ones(count, dtype=bool)
     k = np.arange(count)
     bound = count + _STREAM_EXCURSIONS
+    ahead = min(bound, count + plan.ray_count * passes)
     stream_end = np.arange(_STREAM_EXCURSIONS, bound)  # each candidate's last excursion
     while True:
         nxt = trajectory.next_same[k]
-        if grow:  # read on until every waiting candidate's ray comes round again
-            waiting = set(trajectory.ray[k[(nxt < 0) & (seen < passes)]].tolist())
-            while waiting and trajectory.size < bound:
-                lo = trajectory.size
-                trajectory.reach(lo + 1, bound)
-                waiting -= set(trajectory.ray[lo:trajectory.size].tolist())
-            nxt = trajectory.next_same[k]
-        done = (nxt < 0) | (nxt > stream_end) if grow else nxt < 0
-        np.putmask(seen, done, passes)
-        if not np.count_nonzero(seen < passes):
+        if grow:
+            waiting = set(trajectory.ray[k[(nxt < 0) & live]].tolist())
+            if waiting:  # read on until every waiting candidate's ray comes round again
+                while waiting and trajectory.size < bound:
+                    lo = trajectory.size
+                    trajectory.reach(lo + 1, ahead if lo < ahead else bound)
+                    waiting -= set(trajectory.ray[lo:trajectory.size].tolist())
+                nxt = trajectory.next_same[k]
+            if trajectory.size > _STREAM_EXCURSIONS:  # else nxt is within every stream
+                live &= nxt <= stream_end
+        live &= nxt >= 0
+        if not np.count_nonzero(live):
             return
-        k = np.where(done, 0, nxt)  # a done candidate reads excursion 0, unused
+        k = np.maximum(nxt, 0)  # an ended candidate reads excursion 0, unused
         for hit, cost in _passes(plan, trajectory, k, point, beyond=True,
                                  outward_only=outward_only):
-            hit &= seen < passes
+            hit &= live
             yield hit, seen, cost
             seen += hit
+            live &= seen < passes
 
 
 def visit_cost_stream(

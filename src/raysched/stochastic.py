@@ -254,12 +254,16 @@ def expected_acc_ratio_mc_contracts(
     q = 1.0 - p
     # Job j runs problem j % n.  Lengths grow along the schedule, so each
     # new completion is its problem's largest and the credit series
-    # updates in one step: credit[j] is job j's problem's credit after it.
+    # updates in one step: credit[j] is job j's problem's credit after it,
+    # p * length + q * (its credit before), folded in a plain loop (a
+    # lambda call per job would double its cost).
     credit = np.empty(horizon)
     for i in range(n):
-        credit[i::n] = list(itertools.accumulate(
-            trajectory.length[i:horizon:n].tolist(), lambda c, x: p * x + q * c,
-            initial=0.0))[1:]
+        c, series = 0.0, []
+        for x in trajectory.length[i:horizon:n].tolist():
+            c = p * x + q * c
+            series.append(c)
+        credit[i::n] = series
     # Query j >= n finds every problem's credit after its last job, the
     # previous n events; the first maximum is the witness.  A subnormal p
     # overflows a ratio to inf, as the scalar division did.

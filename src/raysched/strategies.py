@@ -79,9 +79,14 @@ def make_nm_search(m: int, b: float, r: int) -> SearchPlan:
         raise ValueError(f"sweep count must be >= 1, got {r}")
 
     def depths(lo: int, hi: int) -> tuple[list, list]:
-        outer = _powers(float(b), lo, hi)
-        inner = [float(b) ** (i - m) if i >= m else 0.0 for i in range(lo, lo + len(outer))]
-        return inner, outer
+        # inner[i] is b^(i - m), the outer depth m excursions back: read
+        # from the block where i - m lies in it, computed (by the same
+        # float power) only for the up to m indices below it.
+        fb = float(b)
+        outer = _powers(fb, lo, hi)
+        below = [fb ** (i - m) if i >= m else 0.0
+                 for i in range(lo, lo + min(m, len(outer)))]
+        return below + outer[:len(outer) - len(below)], outer
 
     return SearchPlan(
         ray_count=m,

@@ -25,7 +25,9 @@ from raysched.search_eval import visit_cost_stream
 from raysched.stochastic import (
     DetectionModel,
     DirectionRule,
+    _series_weights,
     probabilistic_competitive_ratio,
+    tuned_search_base,
 )
 from raysched.strategies import (
     make_custom_search,
@@ -238,6 +240,24 @@ def test_series_sweep_reads_no_further_than_the_stream_limit(monkeypatch):
     plan, blocks = _recorded(make_exponential_search(2, 1.2))
     probabilistic_competitive_ratio(plan, DetectionModel(0.5), 4)
     assert max(hi for _, hi in blocks) == 4 + 7
+
+
+@pytest.mark.parametrize("plan, p, rule", [
+    (make_exponential_search(2, tuned_search_base(2, 0.5)), 0.5, DirectionRule.BOTH_DIRECTIONS),
+    (make_exponential_search(3, tuned_search_base(3, 0.6)), 0.6, DirectionRule.OUTWARD_ONLY),
+    (make_nm_search(2, 1.2, 2), 0.7, DirectionRule.BOTH_DIRECTIONS),
+    (make_exponential_search(4, 1.5), 1.0, DirectionRule.BOTH_DIRECTIONS),
+], ids=["exponential-both", "exponential-outward", "nm-2", "p=1"])
+def test_series_sweep_reads_no_further_than_its_passes_need(plan, p, rule):
+    """Each later excursion on a cyclic plan's ray passes a frontier
+    target, so count + m · passes excursions hold every pass the series
+    sums, and the read-ahead stops there."""
+    recorded, blocks = _recorded(plan)
+    passes = sum(1 for _ in _series_weights(p, 1e-12))
+    horizon = 200
+    report = probabilistic_competitive_ratio(recorded, DetectionModel(p, rule), horizon)
+    assert max(hi for _, hi in blocks) <= horizon + plan.ray_count * passes
+    assert report == probabilistic_competitive_ratio(plan, DetectionModel(p, rule), horizon)
 
 
 def test_overflow_past_the_count_waits_for_a_caller_that_needs_it():

@@ -142,6 +142,20 @@ class TestRandSched:
         sup = max(float(row["ratio"]) for row in rows)
         assert abs(sup - beta) / beta <= 0.02
 
+    def test_a_sum_past_float_range_warns_nothing(self, capsys):
+        """The last rows' sums of D pass float range and are taken again
+        scaled; the test run turns a RuntimeWarning into an error, so the
+        first sum's overflow must not warn."""
+        code, out, err = run_cli(
+            capsys, "rand-sched", "--n", "633", "--b", "3", "--trials", "5000",
+        )
+        assert code == 0 and err == ""
+        rows = rows_of(out)
+        assert len(rows) == 24
+        for row in rows:
+            assert all(math.isfinite(float(row[name]))
+                       for name in ("d_mean", "d_stderr", "ratio"))
+
 
 class TestOptBase:
     def test_randomized_target(self, capsys):

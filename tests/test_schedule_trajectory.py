@@ -96,8 +96,9 @@ def test_factory_plans_are_read_without_job_spec(monkeypatch):
 
 
 def test_blocks_stop_at_the_first_failing_job(monkeypatch):
-    """Blocks at least double, so a failure at job k is found after at
-    most about 2k jobs, never after reading the whole count."""
+    """Blocks at least double past their floor, so a failure at job k is
+    found after about max(2k, floor) jobs, never after reading the whole
+    count."""
     calls = _count_job_spec_calls(monkeypatch)
     tagged = ScheduleTrajectory(make_exponential_schedule(2, 1.5))
     with pytest.raises(ValueError, match="^schedule clock overflowed at job 1748$"):
@@ -109,6 +110,41 @@ def test_blocks_stop_at_the_first_failing_job(monkeypatch):
     assert custom.size == 1 and len(calls) <= 256
     with pytest.raises(ValueError, match="^schedule clock overflowed at job 1$"):
         custom.reach(5)  # the error stays for every later caller
+
+
+def _recorded_jobs(monkeypatch, plan):
+    """The factory plan with its block function wrapped to record each
+    (lo, hi) it is asked for."""
+    blocks = []
+    jobs = plan.generator.jobs
+
+    def recorded(lo, hi):
+        blocks.append((lo, hi))
+        return jobs(lo, hi)
+
+    monkeypatch.setattr(plan.generator, "jobs", recorded)
+    return plan, blocks
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 3000, 4096])
+def test_a_factory_schedule_up_to_4096_jobs_is_one_block(monkeypatch, count):
+    for plan in (make_exponential_schedule(4, 1.01), make_geometric_rr_schedule(3, 1.001),
+                 make_pseudo_exponential_schedule(2, 1.01, 3)):
+        plan, blocks = _recorded_jobs(monkeypatch, plan)
+        trajectory = ScheduleTrajectory(plan)
+        trajectory.reach(count)
+        assert blocks == [(0, count)] and trajectory.size == count
+
+
+def test_blocks_past_4096_jobs_double_the_prefix(monkeypatch):
+    plan, blocks = _recorded_jobs(monkeypatch, make_exponential_schedule(2, 1.0001))
+    trajectory = ScheduleTrajectory(plan)
+    trajectory.reach(20000)
+    assert blocks == [(0, 4096), (4096, 8192), (8192, 16384), (16384, 20000)]
+    plan, blocks = _recorded_jobs(monkeypatch, make_exponential_schedule(2, 1.5))
+    with pytest.raises(ValueError, match="^schedule clock overflowed at job 1748$"):
+        ScheduleTrajectory(plan).reach(10**12)
+    assert blocks == [(0, 4096)]
 
 
 # The per-index generators of the three factories before they gained a
