@@ -52,27 +52,37 @@ class PlanTag:
     redundancy: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Excursion:
     """One round trip on a single ray, from depth_inner out to depth_outer.
 
     depth_inner is the depth already covered on that ray before this
     excursion begins (0 for a first visit); depth_outer is the new
     frontier when it completes.
+
+    Per-index plan reads build one per index, so __init__ is written out:
+    its checks come first, with their messages, and the arguments are
+    then stored unchanged in the instance __dict__, as the generated
+    __init__ stores them.  Equality, hash, repr, dataclasses.replace,
+    pickling and the frozen errors stay the dataclass's own.
     """
 
     ray: int
     depth_inner: float
     depth_outer: float
 
-    def __post_init__(self) -> None:
-        if self.ray < 0:
-            raise ValueError(f"ray index must be >= 0, got {self.ray}")
-        if not (0 <= self.depth_inner < self.depth_outer):
+    def __init__(self, ray: int, depth_inner: float, depth_outer: float) -> None:
+        if ray < 0:
+            raise ValueError(f"ray index must be >= 0, got {ray}")
+        if not (0 <= depth_inner < depth_outer):
             raise ValueError(
                 "need 0 <= depth_inner < depth_outer, got "
-                f"({self.depth_inner}, {self.depth_outer})"
+                f"({depth_inner}, {depth_outer})"
             )
+        state = self.__dict__
+        state["ray"] = ray
+        state["depth_inner"] = depth_inner
+        state["depth_outer"] = depth_outer
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,7 @@ class CyclicDepths:
             object.__setattr__(self, "_memo", (lo, inner, outer))
             if not outer:
                 raise OverflowError(f"depth of excursion {i} is out of float range")
-        return Excursion(ray=i % self.m, depth_inner=inner[i - lo], depth_outer=outer[i - lo])
+        return Excursion(i % self.m, inner[i - lo], outer[i - lo])
 
 
 def _cost(plan: SearchPlan, inner, outer):
@@ -171,6 +181,8 @@ class SearchTrajectory:
     of Excursion and SearchPlan.excursion made on the arrays; any other
     plan (custom, or with its generator swapped) calls plan.excursion
     once per index, which a CyclicDepths answers from its memoized block.
+    Block-read rays are k % m by construction, so their links follow
+    from that rule and equal those of the sort that links other plans.
     Full columns are replaced by ones of twice the size, with the filled
     prefix copied.  The first index that cannot be materialized (the plan
     raises, or cum leaves float range) ends the prefix, and its error is
@@ -220,9 +232,10 @@ class SearchTrajectory:
         """Columns of excursions lo..hi-1 by plan.excursion, cut at the
         first that raises, and its error."""
         rays, inner, outer = [], [], []
+        excursion = self.plan.excursion
         for i in range(lo, hi):
             try:
-                exc = self.plan.excursion(i)
+                exc = excursion(i)
             except Exception as err:
                 return rays, inner, outer, err
             rays.append(exc.ray)
@@ -232,12 +245,14 @@ class SearchTrajectory:
 
     def _fill(self, lo: int, ray, inner, outer, error: Optional[Exception]) -> None:
         """Append valid excursions lo.. with cost and cum, in the scalar
-        chain's operand order; error is the failure just past them."""
+        chain's operand order; error is the failure just past them.  The
+        first fill sums cost alone: the chain's 0.0 + cost[0] is cost[0]
+        to the bit, since a cost is never -0.0."""
         inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             cost = _cost(self.plan, inner, outer)
-            cum = np.add.accumulate(np.concatenate(([self.cum[lo - 1] if lo else 0.0],
-                                                    cost)))[1:]
+            cum = (np.add.accumulate(np.concatenate(([self.cum[lo - 1]], cost)))[1:] if lo
+                   else np.add.accumulate(cost))
         finite = np.isfinite(cum)
         n = len(finite) if finite.all() else int(finite.argmin())
         if n < len(finite):
@@ -259,10 +274,21 @@ class SearchTrajectory:
     @property
     def next_same(self) -> np.ndarray:
         """The next-excursion links, after linking the excursions added
-        since the last read: a stable sort by ray puts each ray's last
-        linked excursion (from _last) ahead of its new ones, in order."""
-        lo, hi, m = self._linked, self.size, len(self._last)
-        if lo < hi:
+        since the last read.  On a block-read plan excursion k is on ray
+        k % generator.m (not ray_count, which a replaced plan may raise),
+        so k links to k + m, or -1 past the prefix, and each read relinks
+        the previous read's last m.  Other plans are linked by a stable
+        sort by ray, which puts each ray's last linked excursion (from
+        _last) ahead of its new ones, in order."""
+        lo, hi = self._linked, self.size
+        if lo < hi and self._cyclic:
+            m = self.plan.generator.m
+            start = max(lo - m, 0)
+            self._next[start:hi] = np.arange(start + m, hi + m)
+            self._next[max(hi - m, start):hi] = -1
+            self._linked = hi
+        elif lo < hi:
+            m = len(self._last)
             order = np.concatenate((np.arange(m), self.ray[lo:hi])).argsort(kind="stable")
             chain = np.concatenate((self._last, np.arange(lo, hi)))[order]
             same = order[1:] >= m  # chain[i + 1] follows chain[i] on its ray
@@ -390,9 +416,10 @@ class ScheduleTrajectory:
         """Problems and lengths of jobs lo..hi-1 by plan.job_spec, cut at
         the first that raises, and its error."""
         problems, lengths = [], []
+        job_spec = self.plan.job_spec
         for i in range(lo, hi):
             try:
-                problem, length = self.plan.job_spec(i)
+                problem, length = job_spec(i)
                 0.0 + length  # clock + length raises here on a length no float holds
             except Exception as err:
                 return problems, lengths, err
@@ -404,7 +431,9 @@ class ScheduleTrajectory:
         """Append valid jobs lo.. with their finish times, cut at the first
         whose finish overflows or breaks Job.check_span; error is the
         failure just past them.  The columns pass every job math.isclose
-        passes (its CPython formula) and the scalar check decides the rest."""
+        passes (its CPython formula) and the scalar check decides the rest.
+        The first fill takes the three columns as they are; a later one
+        appends them, which copies the same values."""
         values = np.asarray(length, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             clock = np.add.accumulate(np.concatenate(
@@ -425,9 +454,11 @@ class ScheduleTrajectory:
             except ValueError as err:
                 n, error = k, err
                 break
-        self.problem = np.concatenate((self.problem, np.asarray(problem[:n], dtype=np.intp)))
-        self.length = np.concatenate((self.length, values[:n]))
-        self.finish = np.concatenate((self.finish, clock[1:n + 1]))
+        columns = np.asarray(problem[:n], dtype=np.intp), values[:n], clock[1:n + 1]
+        if lo:
+            columns = [np.concatenate(pair) for pair in
+                       zip((self.problem, self.length, self.finish), columns)]
+        self.problem, self.length, self.finish = columns
         self.size = lo + n
         self._error = error
 

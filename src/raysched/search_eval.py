@@ -86,7 +86,9 @@ def _passes(plan: SearchPlan, trajectory: SearchTrajectory, k, point, *,
     abs(outer - 0.0) == outer exactly, so neither move compares or
     subtracts the origin waypoint.
     """
-    inner, outer, cum = trajectory.inner[k], trajectory.outer[k], trajectory.cum[k]
+    outer, cum = trajectory.outer[k], trajectory.cum[k]
+    if plan.cost_model is CostModel.EXPANDING or plan.traversals > 1:
+        inner = trajectory.inner[k]  # one traversal under STANDARD never reads it
     if plan.cost_model is CostModel.EXPANDING:
         if beyond:
             yield (inner <= point) & (point < outer), cum

@@ -201,7 +201,7 @@ def probabilistic_competitive_ratio(
     for hit, ordinal, cost in frontier_passes(
         plan, trajectory, horizon, weights.size, outward_only=outward, grow=True
     ):
-        np.add(expected, w[ordinal] * cost, out=expected, where=hit)
+        expected += w[ordinal] * hit * cost  # a missed move adds 0 times its finite cost
     ratios = expected / trajectory.outer[:horizon]
     j = int(np.argmax(ratios))
     best = float(ratios[j])

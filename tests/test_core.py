@@ -1,6 +1,8 @@
 """Unit tests for the core data model."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -39,6 +41,57 @@ class TestExcursion:
     def test_negative_inner_rejected(self):
         with pytest.raises(ValueError):
             Excursion(ray=0, depth_inner=-0.5, depth_outer=2.0)
+
+    def test_positional_and_keyword_construction_agree(self):
+        exc = Excursion(1, 0.5, 3.0)
+        assert (exc.ray, exc.depth_inner, exc.depth_outer) == (1, 0.5, 3.0)
+        assert exc == Excursion(ray=1, depth_inner=0.5, depth_outer=3.0)
+        assert exc == Excursion(1, depth_outer=3.0, depth_inner=0.5)
+
+    def test_equal_fields_give_equal_hashes(self):
+        exc, same, other = Excursion(2, 1.0, 4.0), Excursion(2, 1.0, 4.0), Excursion(2, 1.0, 5.0)
+        assert exc == same and hash(exc) == hash(same)
+        assert exc != other
+        assert len({exc, same, other}) == 2
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Excursion(0, 0.0, 1.5)) == (
+            "Excursion(ray=0, depth_inner=0.0, depth_outer=1.5)")
+
+    def test_frozen_against_assignment_and_deletion(self):
+        exc = Excursion(0, 0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exc.ray = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del exc.depth_outer
+        assert exc == Excursion(0, 0.0, 1.0)
+
+    def test_checks_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^ray index must be >= 0, got -1$"):
+            Excursion(-1, 0.0, 1.0)
+        with pytest.raises(ValueError,
+                           match=r"^need 0 <= depth_inner < depth_outer, got \(2.0, 1.0\)$"):
+            Excursion(0, 2.0, 1.0)
+
+    def test_replace_validates_with_the_same_message(self):
+        exc = Excursion(1, 0.5, 3.0)
+        assert dataclasses.replace(exc, depth_outer=4.0) == Excursion(1, 0.5, 4.0)
+        with pytest.raises(ValueError,
+                           match=r"^need 0 <= depth_inner < depth_outer, got \(3.0, 3.0\)$"):
+            dataclasses.replace(exc, depth_inner=3.0)
+        with pytest.raises(ValueError, match=r"^ray index must be >= 0, got -2$"):
+            dataclasses.replace(exc, ray=-2)
+
+    def test_fields_are_named_in_order(self):
+        assert [f.name for f in dataclasses.fields(Excursion)] == [
+            "ray", "depth_inner", "depth_outer"]
+
+    def test_pickle_round_trip(self):
+        exc = Excursion(3, 0.25, 2.0)
+        back = pickle.loads(pickle.dumps(exc))
+        assert back == exc and hash(back) == hash(exc)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.ray = 0
 
 
 def _trajectory(plan, count):

@@ -274,13 +274,17 @@ FACTORIES = {
     family=st.sampled_from(sorted(FACTORIES)),
     m=st.integers(min_value=2, max_value=5),
     b=st.floats(min_value=1.05, max_value=1.3),
+    extra=st.integers(min_value=0, max_value=2),
     reads=st.lists(st.tuples(st.integers(min_value=1, max_value=200),
                              st.integers(min_value=0, max_value=200), st.booleans()),
                    min_size=1, max_size=4),
 )
-def test_tagged_links_equal_a_scalar_link_across_blocks(family, m, b, reads):
-    """Blocks of many sizes, with next_same read after some of them."""
-    trajectory = SearchTrajectory(FACTORIES[family](m, b))
+def test_tagged_links_equal_a_scalar_link_across_blocks(family, m, b, extra, reads):
+    """Blocks of many sizes, with next_same read after some of them, on
+    a plan replaced to extra rays it never visits: its excursions still
+    cycle over the generator's m rays, not over ray_count."""
+    plan = dataclasses.replace(FACTORIES[family](m, b), ray_count=m + extra)
+    trajectory = SearchTrajectory(plan)
     for grow, ahead, read in reads:
         trajectory.reach(trajectory.size + grow, trajectory.size + grow + ahead)
         if read:
