@@ -126,23 +126,27 @@ class SearchPlan:
 class CyclicDepths:
     """The generator of a plan that visits rays 0..m-1 in turn, written
     once as a block function: depths(lo, hi) returns the inner and outer
-    depth lists of excursions lo..hi-1, cut at the first index whose
-    depth overflows float range.  Called with one index it is the plan's
-    per-index generator: it reads the excursion from the last block it
-    computed, and on a miss computes depths(i, i + MEMO_BLOCK); an index
-    past a block's cut misses and raises.  The memo is one (lo, inner,
-    outer) tuple, replaced whole, and takes no part in equality or
-    hashing.  SearchTrajectory reads tagged plans by block."""
+    depth arrays of excursions lo..hi-1, cut at the first index whose
+    depth overflows float range; SearchTrajectory reads tagged plans by
+    block, taking these arrays as they are.  Called with one index it is
+    the plan's per-index generator: it reads the excursion from the last
+    block it computed, and on a miss computes depths(i, i + MEMO_BLOCK);
+    an index past a block's cut misses and raises.  The memo is one (lo,
+    hi, inner, outer) tuple, the block's depths as lists of Python
+    floats, so per-index reads hand out floats, never np.float64; it is
+    replaced whole and takes no part in equality or hashing."""
 
     m: int
-    depths: Callable[[int, int], tuple[list, list]]
-    _memo: tuple = field(default=(0, (), ()), init=False, compare=False, repr=False)
+    depths: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+    _memo: tuple = field(default=(0, 0, (), ()), init=False, compare=False, repr=False)
 
     def __call__(self, i: int) -> Excursion:
-        lo, inner, outer = self._memo
-        if not 0 <= i - lo < len(outer):
-            lo, (inner, outer) = i, self.depths(i, i + MEMO_BLOCK)
-            object.__setattr__(self, "_memo", (lo, inner, outer))
+        lo, hi, inner, outer = self._memo
+        if not lo <= i < hi:
+            inner, outer = self.depths(i, i + MEMO_BLOCK)
+            lo, inner, outer = i, np.asarray(inner).tolist(), np.asarray(outer).tolist()
+            hi = i + len(outer)
+            object.__setattr__(self, "_memo", (lo, hi, inner, outer))
             if not outer:
                 raise OverflowError(f"depth of excursion {i} is out of float range")
         return Excursion(i % self.m, inner[i - lo], outer[i - lo])
@@ -183,12 +187,12 @@ class SearchTrajectory:
     once per index, which a CyclicDepths answers from its memoized block.
     Block-read rays are k % m by construction, so their links follow
     from that rule and equal those of the sort that links other plans.
-    Full columns are replaced by ones of twice the size, with the filled
-    prefix copied.  The first index that cannot be materialized (the plan
-    raises, or cum leaves float range) ends the prefix, and its error is
-    raised to every caller that needs it.  hint appends advice to the
-    overflow message (competitive_ratio gives it, the pass streams do
-    not).
+    The first block's arrays become the columns; full columns are
+    replaced by ones of twice the size, with the filled prefix copied.
+    The first index that cannot be materialized (the plan raises, or cum
+    leaves float range) ends the prefix, and its error is raised to every
+    caller that needs it.  hint appends advice to the overflow message
+    (competitive_ratio gives it, the pass streams do not).
     """
 
     def __init__(self, plan: SearchPlan, *, hint: bool = False) -> None:
@@ -197,16 +201,17 @@ class SearchTrajectory:
         self.size = 0
         self.ray, self._next = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         self.inner, self.outer, self.cost, self.cum = (np.empty(0) for _ in range(4))
-        self._last = np.full(plan.ray_count, -1)  # each ray's last linked excursion
         self._linked = 0
         self._error: Optional[Exception] = None
         self._cyclic = isinstance(plan.generator, CyclicDepths) and plan.tag.kind != "custom"
+        if not self._cyclic:  # each ray's last linked excursion, for the sort
+            self._last = np.full(plan.ray_count, -1)
 
     def reach(self, count: int, bound: int = 0) -> None:
         """Materialize the first count excursions, or raise the error of
-        the first one that cannot be.  A block read runs ahead up to
-        twice the size, but not past bound, the furthest count the
-        caller expects to need (a pass stream's end, or for
+        the first one that cannot be.  A read, by block or per index,
+        runs ahead up to twice the size, but not past bound, the furthest
+        count the caller expects to need (a pass stream's end, or for
         frontier_passes the count + m · passes excursions that hold every
         pass on a factory plan); an error past count waits for a caller
         that needs it.  Past MAX_TRAJECTORY excursions it raises."""
@@ -215,12 +220,12 @@ class SearchTrajectory:
                 raise self._error
             _check_room(self.size, count, "excursions")
             lo = self.size
-            if not self._cyclic:
-                self._fill(lo, *self._excursions(lo, min(count, MAX_TRAJECTORY)))
-                continue
             hi = min(max(count, min(2 * lo, bound)), MAX_TRAJECTORY)
+            if not self._cyclic:
+                self._fill(lo, *self._excursions(lo, hi))
+                continue
             inner, outer = self.plan.generator.depths(lo, hi)
-            inner, outer = np.array(inner, dtype=float), np.array(outer, dtype=float)
+            inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
             ray = np.arange(lo, lo + len(outer)) % self.plan.generator.m
             ok = (0 <= inner) & (inner < outer) & (ray < self.plan.ray_count)
             n = len(ok) if ok.all() else int(ok.argmin())
@@ -246,8 +251,10 @@ class SearchTrajectory:
     def _fill(self, lo: int, ray, inner, outer, error: Optional[Exception]) -> None:
         """Append valid excursions lo.. with cost and cum, in the scalar
         chain's operand order; error is the failure just past them.  The
-        first fill sums cost alone: the chain's 0.0 + cost[0] is cost[0]
-        to the bit, since a cost is never -0.0."""
+        first fill sums cost alone (the chain's 0.0 + cost[0] is cost[0]
+        to the bit, since a cost is never -0.0) and takes its arrays as
+        the columns, which no later fill writes: it grows them first."""
+        ray = np.asarray(ray, dtype=np.intp)
         inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             cost = _cost(self.plan, inner, outer)
@@ -260,14 +267,19 @@ class SearchTrajectory:
             error = ValueError(f"cumulative cost overflowed at excursion {lo + n}"
                                + (advice if self.hint else ""))
         end = lo + n
-        if end > len(self.ray):
-            for name in ("ray", "_next", "inner", "outer", "cost", "cum"):
-                grown = np.empty(2 * end + 64, dtype=getattr(self, name).dtype)
-                grown[:lo] = getattr(self, name)[:lo]
-                setattr(self, name, grown)
-        for column, values in ((self.ray, ray), (self.inner, inner), (self.outer, outer),
-                               (self.cost, cost), (self.cum, cum)):
-            column[lo:end] = values[:n]
+        if not lo:
+            self.ray, self.inner, self.outer, self.cost, self.cum = (
+                values[:n] for values in (ray, inner, outer, cost, cum))
+            self._next = np.empty(n, dtype=np.intp)
+        else:
+            if end > len(self.ray):
+                for name in ("ray", "_next", "inner", "outer", "cost", "cum"):
+                    grown = np.empty(2 * end + 64, dtype=getattr(self, name).dtype)
+                    grown[:lo] = getattr(self, name)[:lo]
+                    setattr(self, name, grown)
+            for column, values in ((self.ray, ray), (self.inner, inner), (self.outer, outer),
+                                   (self.cost, cost), (self.cum, cum)):
+                column[lo:end] = values[:n]
         self.size = end
         self._error = error
 

@@ -94,24 +94,25 @@ def _rth_largest(problem: np.ndarray, length: np.ndarray, n: int, r: int) -> lis
 
 def _credit_table(problem: np.ndarray, length: np.ndarray, n: int,
                   semantics: ScheduleSemantics) -> np.ndarray:
-    """Every problem's credit after each prefix of the jobs: row j covers
-    jobs 0..j-1.  Each job puts an event in its problem's column of a
-    (jobs + 1) x n table and a running scan goes down the rows: a sum for
-    aggregate credit, a max for the rest.  The event is the job's length,
-    except under r-times credit (the length only on the r-th run of its
-    length) and r-th largest credit (the problem's r-th largest length so
-    far, which never decreases)."""
+    """Every problem's credit after each prefix of the jobs, problem-major:
+    column j covers jobs 0..j-1.  Each job puts an event in its problem's
+    row of an n x (jobs + 1) table and a running scan goes along each
+    row, one contiguous row per problem: a sum for aggregate credit, a
+    max for the rest.  The event is the job's length, except under
+    r-times credit (the length only on the r-th run of its length) and
+    r-th largest credit (the problem's r-th largest length so far, which
+    never decreases)."""
     kind = semantics.kind
     events = length
     if kind is SemanticsKind.R_TIMES_COMPLETED:
         events = np.where(_run_ordinals(problem, length) == semantics.r, length, 0.0)
     elif kind is SemanticsKind.RTH_LARGEST_COMPLETED:
         events = _rth_largest(problem, length, n, semantics.r)
-    table = np.zeros((len(length) + 1, n))
-    table[np.arange(1, len(length) + 1), problem] = events
+    table = np.zeros((n, len(length) + 1))
+    table[problem, np.arange(1, len(length) + 1)] = events
     if kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
-        return np.add.accumulate(table, axis=0)
-    return np.maximum.accumulate(table, axis=0)
+        return np.add.accumulate(table, axis=1)
+    return np.maximum.accumulate(table, axis=1)
 
 
 def acceleration_ratio(
@@ -135,8 +136,11 @@ def acceleration_ratio(
     trajectory = ScheduleTrajectory(plan)
     trajectory.reach(horizon)
     finish = trajectory.finish[:horizon]
-    credit = _credit_table(trajectory.problem[:horizon], trajectory.length[:horizon],
-                           n, semantics)[:-1].min(axis=1)
+    table = _credit_table(trajectory.problem[:horizon], trajectory.length[:horizon],
+                          n, semantics)[:, :-1]
+    credit = table[0]  # the least credit at each query, taken in place row by row
+    for row in table[1:]:
+        np.minimum(credit, row, out=credit)
     scored = credit > 0.0
     skipped = len(credit) - int(np.count_nonzero(scored))
     with np.errstate(over="ignore"):

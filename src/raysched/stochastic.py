@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Iterator, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DEFAULT_HORIZON, MAX_TRAJECTORY, McEstimate, RatioReport
 from .core import SchedulePlan, SearchPlan
@@ -265,10 +264,14 @@ def expected_acc_ratio_mc_contracts(
             series.append(c)
         credit[i::n] = series
     # Query j >= n finds every problem's credit after its last job, the
-    # previous n events; the first maximum is the witness.  A subnormal p
-    # overflows a ratio to inf, as the scalar division did.
+    # previous n events, whose least is taken in place over n - 1 shifted
+    # slices; the first maximum is the witness.  A subnormal p overflows
+    # a ratio to inf, as the scalar division did.
+    least = credit[:horizon - n].copy()
+    for shift in range(1, n):
+        np.minimum(least, credit[shift:horizon - n + shift], out=least)
     with np.errstate(over="ignore"):
-        ratios = trajectory.finish[n:horizon] / sliding_window_view(credit[:-1], n).min(axis=1)
+        ratios = trajectory.finish[n:horizon] / least
     j = int(np.argmax(ratios))
     best, witness = float(ratios[j]), float(trajectory.finish[n + j])
     asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))

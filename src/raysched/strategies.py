@@ -8,6 +8,7 @@ the tagging and get purely numeric evaluation.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable
 
 import numpy as np
@@ -20,16 +21,32 @@ def _require_base(b: float) -> None:
         raise ValueError(f"growth base must be > 1, got {b}")
 
 
-def _powers(b: float, lo: int, hi: int) -> list[float]:
-    """b**i for i in lo..hi-1 by float power (np.power can differ in the
-    last bit), cut at the first power that overflows float range."""
-    powers = []
-    try:
-        for i in range(lo, hi):
-            powers.append(b ** i)
-    except OverflowError:
-        pass
-    return powers
+# Powers one C-level loop of _powers computes between overflow checks.
+_POWER_PIECE = 1024
+
+
+def _powers(b: float, lo: int, hi: int) -> np.ndarray:
+    """b**i for i in lo..hi-1 as a float array, cut at the first power
+    that overflows float range.  Each power is Python's own float power:
+    np.power over an object array of exponents calls float.__pow__ per
+    element from its C loop, while np.power on float arrays can differ
+    from it in the last bit.  The block is taken in pieces of
+    _POWER_PIECE, so no piece holds more Python objects than that, and
+    only the piece that crosses float range is walked one power at a
+    time, to find the cut."""
+    pieces = []
+    for start in range(lo, hi, _POWER_PIECE):
+        stop = min(start + _POWER_PIECE, hi)
+        try:
+            pieces.append(np.power(b, np.arange(start, stop, dtype=object)).astype(float))
+        except OverflowError:
+            head = []
+            with suppress(OverflowError):
+                for i in range(start, stop):
+                    head.append(b ** i)
+            pieces.append(np.array(head, dtype=float))
+            break
+    return pieces[0] if len(pieces) == 1 else np.concatenate([np.empty(0), *pieces])
 
 
 def make_exponential_search(m: int, b: float) -> SearchPlan:
@@ -43,9 +60,9 @@ def make_exponential_search(m: int, b: float) -> SearchPlan:
         raise ValueError(f"need at least 2 rays, got {m}")
     _require_base(b)
 
-    def depths(lo: int, hi: int) -> tuple[list, list]:
+    def depths(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         outer = _powers(float(b), lo, hi)
-        return [0.0] * len(outer), outer
+        return np.zeros(len(outer)), outer
 
     return SearchPlan(
         ray_count=m,
@@ -78,15 +95,17 @@ def make_nm_search(m: int, b: float, r: int) -> SearchPlan:
     if r < 1:
         raise ValueError(f"sweep count must be >= 1, got {r}")
 
-    def depths(lo: int, hi: int) -> tuple[list, list]:
+    def depths(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # inner[i] is b^(i - m), the outer depth m excursions back: read
         # from the block where i - m lies in it, computed (by the same
-        # float power) only for the up to m indices below it.
+        # float power) only for the up to m indices below it, and 0 for
+        # i < m.
         fb = float(b)
         outer = _powers(fb, lo, hi)
-        below = [fb ** (i - m) if i >= m else 0.0
-                 for i in range(lo, lo + min(m, len(outer)))]
-        return below + outer[:len(outer) - len(below)], outer
+        head = min(m, len(outer))
+        below = _powers(fb, max(lo - m, 0), lo + head - m)
+        return np.concatenate((np.zeros(head - len(below)), below,
+                               outer[:len(outer) - head])), outer
 
     return SearchPlan(
         ray_count=m,
@@ -108,12 +127,13 @@ def make_geometric_search(m: int, b: float) -> SearchPlan:
         raise ValueError(f"need at least 2 rays, got {m}")
     _require_base(b)
 
-    def depths(lo: int, hi: int) -> tuple[list, list]:
+    def depths(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # The frontiers of phases lo // m .. (hi - 1) // m + 1.
         first = lo // m
-        levels = [(x - 1.0) / (b - 1.0) for x in _powers(float(b), first, (hi - 1) // m + 2)]
-        phases = [i // m - first for i in range(lo, min(hi, (first + len(levels) - 1) * m))]
-        return [levels[p] for p in phases], [levels[p + 1] for p in phases]
+        with np.errstate(over="ignore"):  # a level past float range is inf, as x / y gives
+            levels = (_powers(float(b), first, (hi - 1) // m + 2) - 1.0) / (b - 1.0)
+        phases = np.arange(lo, min(hi, (first + len(levels) - 1) * m)) // m - first
+        return levels[phases], levels[phases + 1]
 
     return SearchPlan(
         ray_count=m,
@@ -141,7 +161,7 @@ def _phased_jobs(n: int, b: float, turn: int, hold: int) -> Callable[[int], tupl
 
     def jobs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         first = lo // hold
-        lengths = np.array(_powers(fb, first, (hi - 1) // hold + 1))
+        lengths = _powers(fb, first, (hi - 1) // hold + 1)
         index = np.arange(lo, min(hi, (first + len(lengths)) * hold))
         return index // turn % n, lengths[index // hold - first]
 

@@ -158,20 +158,22 @@ def _scalar_depths(name, m, b, i):
 
 
 @pytest.mark.parametrize("name", ["exponential", "nm-2", "geometric"])
-def test_block_depths_equal_the_scalar_formulas(name):
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
+       | st.floats(min_value=1.0, max_value=1e300, exclude_min=True))
+def test_block_depths_equal_the_scalar_formulas(name, b):
     """To the last bit, where np.power would differ for some pairs, and
     cut exactly where the scalar power overflows."""
-    for b in (1.0000001, 1.3, 1.5, 2.0 ** 0.5, 2.5, 10.0, 1e100):
-        plan = _family(name, 3, b)
-        inner, outer = plan.generator.depths(0, 3000)
-        expected = []
-        for i in range(3000):
-            try:
-                expected.append(_scalar_depths(name, 3, b, i))
-            except OverflowError:
-                break
-        assert list(zip(inner, outer)) == expected
-        assert list(zip(*plan.generator.depths(17, 40))) == expected[17:40]
+    plan = _family(name, 3, b)
+    inner, outer = plan.generator.depths(0, 3000)
+    expected = []
+    for i in range(3000):
+        try:
+            expected.append(_scalar_depths(name, 3, b, i))
+        except OverflowError:
+            break
+    assert list(zip(inner, outer)) == expected
+    assert list(zip(*plan.generator.depths(17, 40))) == expected[17:40]
 
 
 def test_edge_bases_straddle_the_range():
@@ -325,8 +327,9 @@ def _memo_bases(name, m):
 
 def _fresh_read(name, m, b, i):
     """Excursion i's repr by a block of one on a generator that has read
-    nothing, or the message of its OverflowError."""
-    inner, outer = _family(name, m, b).generator.depths(i, i + 1)
+    nothing, its depths as Python floats, or the message of its
+    OverflowError."""
+    inner, outer = (c.tolist() for c in _family(name, m, b).generator.depths(i, i + 1))
     if not outer:
         return f"OverflowError: depth of excursion {i} is out of float range"
     return repr(Excursion(ray=i % m, depth_inner=inner[0], depth_outer=outer[0]))

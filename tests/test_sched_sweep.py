@@ -145,6 +145,20 @@ def any_plans(draw):
 @example(plan=custom_plan(2, [(0, 1e17), (1, 1)]), semantics=aggregate_interruptible(), horizon=5)
 @example(plan=custom_plan(1, [(0, 1e-3), (0, 1e306)]), semantics=longest_completed(), horizon=4)
 @example(plan=make_exponential_schedule(2, 1.5), semantics=longest_completed(), horizon=1749)
+@example(plan=make_exponential_schedule(4, 1.3), semantics=longest_completed(), horizon=2000)
+@example(plan=make_exponential_schedule(1, 1.2), semantics=longest_completed(), horizon=3000)
+@example(plan=make_exponential_schedule(3, 1.25), semantics=aggregate_interruptible(),
+         horizon=2000)
+@example(plan=make_geometric_rr_schedule(2, 1.2), semantics=aggregate_interruptible(),
+         horizon=3000)
+@example(plan=make_pseudo_exponential_schedule(2, 1.4, 2), semantics=r_times_completed(2),
+         horizon=2000)
+@example(plan=make_pseudo_exponential_schedule(4, 1.15, 3), semantics=r_times_completed(3),
+         horizon=3000)
+@example(plan=make_exponential_schedule(3, 1.2), semantics=rth_largest_completed(2),
+         horizon=2000)
+@example(plan=make_pseudo_exponential_schedule(1, 1.3, 2), semantics=rth_largest_completed(3),
+         horizon=3000)
 def test_acceleration_ratio_equals_the_scalar_sweep(plan, semantics, horizon):
     expected = _outcome(lambda: ref.acceleration_ratio(plan, semantics, horizon))
     assert _outcome(lambda: acceleration_ratio(plan, semantics, horizon)) == expected

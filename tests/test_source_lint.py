@@ -1,8 +1,9 @@
 """Source hygiene: no package module imports another module's private
 names, every exported name has a reader, schedule jobs are read through
 one of the two walkers, a plan's family is read from its tag only by the
-table's lookup and a few known readers, and importing the package loads
-no thread pool."""
+table's lookup and a few known readers, np.power is called only in the
+Monte Carlo kernel and on object exponents, and importing the package
+loads no thread pool."""
 
 import ast
 import os
@@ -112,6 +113,57 @@ def test_only_the_table_lookup_and_known_readers_read_a_tags_family():
             for name, line in _tag_readers(tree)
             if (path.name, name) not in TAG_READERS
         )
+    assert offenders == []
+
+
+# np.power on float arrays can differ from Python's b ** i in the last
+# bit, so plan lengths and depths never use it.  The Monte Carlo kernel
+# does: its bits are the ones the goldens pin.  strategies._powers calls
+# it on an object array of exponents, where each element is b ** i.
+POWER_CALLERS = {("stochastic.py", "_power_at_most"),
+                 ("stochastic.py", "mc_randomized_schedule_detail")}
+OBJECT_POWER_CALLERS = {("strategies.py", "_powers")}
+
+
+def _is_np_power(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "power"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def _on_object_exponents(call):
+    """Whether a call's second argument is np.arange(..., dtype=object)."""
+    exponent = call.args[1] if len(call.args) > 1 else None
+    return (isinstance(exponent, ast.Call) and isinstance(exponent.func, ast.Attribute)
+            and exponent.func.attr == "arange"
+            and any(k.arg == "dtype" and isinstance(k.value, ast.Name)
+                    and k.value.id == "object" for k in exponent.keywords))
+
+
+def _power_readers(tree, path_name):
+    """(definition, line) of each read of np.power, or import of power
+    from numpy, outside the allowed callers and calls."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        if (path_name, name) in POWER_CALLERS:
+            continue
+        allowed = set()
+        if (path_name, name) in OBJECT_POWER_CALLERS:
+            allowed = {id(node.func) for node in ast.walk(top)
+                       if isinstance(node, ast.Call) and _on_object_exponents(node)}
+        for node in ast.walk(top):
+            if _is_np_power(node) and id(node) not in allowed:
+                yield name, node.lineno
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and any(alias.name == "power" for alias in node.names)):
+                yield name, node.lineno
+
+
+def test_np_power_is_called_only_in_the_monte_carlo_kernel_and_on_object_exponents():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(f"{path.name}:{line} reads np.power in {name}"
+                         for name, line in _power_readers(tree, path.name))
     assert offenders == []
 
 

@@ -176,6 +176,8 @@ class TestExpectedContracts:
     @example(n=3, p=0.5, b=2.0, horizon=3)
     @example(n=1, p=1.0, b=3.0, horizon=2)
     @example(n=5, p=0.3, b=1.02, horizon=6)
+    @example(n=4, p=0.6, b=1.2, horizon=3000)
+    @example(n=1, p=0.9, b=1.3, horizon=2000)
     @given(
         n=st.integers(min_value=1, max_value=5),
         p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
