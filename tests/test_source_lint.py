@@ -2,8 +2,8 @@
 names, every exported name has a reader, schedule jobs are read through
 one of the two walkers, a plan's family is read from its tag only by the
 table's lookup and a few known readers, np.power is called only in the
-Monte Carlo kernel and on object exponents, and importing the package
-loads no thread pool."""
+Monte Carlo kernel and np.float_power only where plan powers are taken,
+and importing the package loads no thread pool."""
 
 import ast
 import os
@@ -118,52 +118,40 @@ def test_only_the_table_lookup_and_known_readers_read_a_tags_family():
 
 # np.power on float arrays can differ from Python's b ** i in the last
 # bit, so plan lengths and depths never use it.  The Monte Carlo kernel
-# does: its bits are the ones the goldens pin.  strategies._powers calls
-# it on an object array of exponents, where each element is b ** i.
-POWER_CALLERS = {("stochastic.py", "_power_at_most"),
-                 ("stochastic.py", "mc_randomized_schedule_detail")}
-OBJECT_POWER_CALLERS = {("strategies.py", "_powers")}
-
-
-def _is_np_power(node):
-    return (isinstance(node, ast.Attribute) and node.attr == "power"
-            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
-
-
-def _on_object_exponents(call):
-    """Whether a call's second argument is np.arange(..., dtype=object)."""
-    exponent = call.args[1] if len(call.args) > 1 else None
-    return (isinstance(exponent, ast.Call) and isinstance(exponent.func, ast.Attribute)
-            and exponent.func.attr == "arange"
-            and any(k.arg == "dtype" and isinstance(k.value, ast.Name)
-                    and k.value.id == "object" for k in exponent.keywords))
+# does: its bits are the ones the goldens pin.  Plan powers are taken
+# only by strategies._powers, through np.float_power, whose float loop
+# calls the C library's pow as b ** i does.
+POWER_CALLERS = {"power": {("stochastic.py", "_power_at_most"),
+                           ("stochastic.py", "mc_randomized_schedule_detail")},
+                 "float_power": {("strategies.py", "_powers")}}
 
 
 def _power_readers(tree, path_name):
-    """(definition, line) of each read of np.power, or import of power
-    from numpy, outside the allowed callers and calls."""
+    """(function, definition, line) of each read of np.power or
+    np.float_power, or import of either from numpy, outside its allowed
+    definitions."""
     for top in tree.body:
         name = getattr(top, "name", "<module>")
-        if (path_name, name) in POWER_CALLERS:
-            continue
-        allowed = set()
-        if (path_name, name) in OBJECT_POWER_CALLERS:
-            allowed = {id(node.func) for node in ast.walk(top)
-                       if isinstance(node, ast.Call) and _on_object_exponents(node)}
         for node in ast.walk(top):
-            if _is_np_power(node) and id(node) not in allowed:
-                yield name, node.lineno
-            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
-                  and any(alias.name == "power" for alias in node.names)):
-                yield name, node.lineno
+            if (isinstance(node, ast.Attribute) and node.attr in POWER_CALLERS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                read = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                read = [alias.name for alias in node.names if alias.name in POWER_CALLERS]
+            else:
+                continue
+            for function in read:
+                if (path_name, name) not in POWER_CALLERS[function]:
+                    yield function, name, node.lineno
 
 
-def test_np_power_is_called_only_in_the_monte_carlo_kernel_and_on_object_exponents():
+def test_np_power_only_in_monte_carlo_and_np_float_power_only_in_powers():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        offenders.extend(f"{path.name}:{line} reads np.power in {name}"
-                         for name, line in _power_readers(tree, path.name))
+        offenders.extend(f"{path.name}:{line} reads np.{function} in {name}"
+                         for function, name, line in _power_readers(tree, path.name))
     assert offenders == []
 
 
