@@ -12,6 +12,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from typing import Optional
 
@@ -108,11 +110,18 @@ def _render(rows: list[dict], fmt: str) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to stdout, or over the file out in place: no O_TRUNC
+    and no rename, since ext4 flushes a file to disk on close after a
+    truncate to zero and on a rename over it.  The tail is cut only on a
+    regular file (ftruncate on /dev/null fails)."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def _ratio_columns(report: RatioReport) -> dict:

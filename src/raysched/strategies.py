@@ -121,9 +121,11 @@ def make_geometric_search(m: int, b: float) -> SearchPlan:
         # The frontiers of phases lo // m .. (hi - 1) // m + 1.
         first = lo // m
         # A level past float range is inf, as x / y gives; at b = inf a
-        # level is inf / inf, nan, which the depth check reports.
+        # level past 0 is inf / inf, nan, made inf: the cost overflows.
         with np.errstate(over="ignore", invalid="ignore"):
             levels = (_powers(float(b), first, (hi - 1) // m + 2) - 1.0) / (b - 1.0)
+        if b == np.inf:
+            levels[np.isnan(levels)] = np.inf
         phases = np.arange(lo, min(hi, (first + len(levels) - 1) * m)) // m - first
         return levels[phases], levels[phases + 1]
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -242,20 +244,82 @@ class TestCurve:
         assert out.splitlines()[0] == "n,beta_star,beta_r_star,b_star,ratio"
         assert len(rows_of(out)) == 3
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        _, out, _ = run_cli(capsys, "curve-fig1", "--n-max", "3")
-        path = tmp_path / "curve.csv"
-        code, stdout, _ = run_cli(
-            capsys, "curve-fig1", "--n-max", "3", "--out", str(path)
-        )
-        assert code == 0 and stdout == ""
-        assert path.read_text(encoding="utf-8") == out
-
     def test_unwritable_destination(self, capsys):
         code, _, err = run_cli(
             capsys, "curve-fig1", "--n-max", "2", "--out", "/nonexistent-dir/x.csv"
         )
         assert code == 2 and "error" in err
+
+
+# One call per subcommand, as the catalog bench makes them.
+OUT_CALLS = {
+    "claims": ["claims"],
+    "search-eval": ["search-eval", "--strategy", "exponential", "--m", "2", "--b", "2"],
+    "sched-eval": ["sched-eval", "--strategy", "geometric-rr", "--n", "2", "--b", "2",
+                   "--semantics", "aggregate"],
+    "prob-search": ["prob-search", "--m", "2", "--p", "0.3"],
+    "rand-sched": ["rand-sched", "--n", "2", "--b", "1.5"],
+    "opt-base": ["opt-base", "--target", "beta-r", "--n", "2"],
+    "tradeoff": ["tradeoff", "--model", "turns", "--m", "2", "--b", "2", "--t", "100"],
+    "curve-fig1": ["curve-fig1", "--n-max", "3"],
+}
+CURVE = ("curve-fig1", "--n-max", "3")
+
+
+class TestOut:
+    """--out FILE rewrites FILE in place with exactly the bytes the same
+    call writes to stdout."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(OUT_CALLS))
+    def test_out_file_matches_stdout(self, name, fmt, capsys, tmp_path):
+        argv = [*OUT_CALLS[name], "--format", fmt]
+        _, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / f"{name}.{fmt}"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, stdout, err) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_rewriting_a_longer_file_leaves_only_the_new_bytes(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, *CURVE)
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"stale line\n" * 1000)
+        assert run_cli(capsys, *CURVE, "--out", str(path))[0] == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_rewrite_keeps_the_inode(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, *CURVE)
+        path, link, alias = tmp_path / "curve.csv", tmp_path / "hard", tmp_path / "sym"
+        path.write_bytes(b"old\n" * 100)
+        os.link(path, link)
+        alias.symlink_to(path)
+        inode = path.stat().st_ino
+        assert run_cli(capsys, *CURVE, "--out", str(link))[0] == 0
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == out.encode("utf-8")
+        path.write_bytes(b"old\n" * 100)
+        assert run_cli(capsys, *CURVE, "--out", str(alias))[0] == 0
+        assert alias.is_symlink() and path.stat().st_ino == inode
+        assert link.read_bytes() == out.encode("utf-8")
+
+    def test_dev_null_is_written(self, capsys):
+        assert run_cli(capsys, *CURVE, "--out", os.devnull) == (0, "", "")
+
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *CURVE, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_mode_follows_the_umask(self, mask, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        previous = os.umask(mask)
+        try:
+            code = run_cli(capsys, *CURVE, "--out", str(path))[0]
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
 
 
 class TestClaims:

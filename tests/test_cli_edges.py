@@ -83,14 +83,16 @@ def test_divergent_growth_exits_0_with_an_inf_row(argv, capsys):
 
 
 def test_infinite_geometric_base_exits_2_with_the_error_line_alone(capsys):
-    """At b = inf a geometric level is inf / inf; the nan it leaves is
-    reported by the depth check, with no RuntimeWarning before it."""
+    """At b = inf a geometric level past 0 is inf / inf, taken as inf, so
+    the first excursion's cost overflows, as in the exponential and nm
+    plans, with no RuntimeWarning before the error line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         err = _usage_error(["search-eval", "--strategy", "geometric", "--m", "2",
                             "--b", "inf"], capsys)
     assert [str(w.message) for w in caught] == []
-    assert err == "error: need 0 <= depth_inner < depth_outer, got (0.0, nan)\n"
+    assert err == ("error: cumulative cost overflowed at excursion 0; "
+                   "reduce the horizon or the growth base\n")
     assert "Warning" not in err
 
 

@@ -3,7 +3,8 @@ names, every exported name has a reader, schedule jobs are read through
 one of the two walkers, a plan's family is read from its tag only by the
 table's lookup and a few known readers, np.power is called only in the
 Monte Carlo kernel and np.float_power only where plan powers are taken,
-and importing the package loads no thread pool."""
+only the CLI's writer opens a file for writing and nothing truncates one
+on open, and importing the package loads no thread pool."""
 
 import ast
 import os
@@ -153,6 +154,82 @@ def test_np_power_only_in_monte_carlo_and_np_float_power_only_in_powers():
         offenders.extend(f"{path.name}:{line} reads np.{function} in {name}"
                          for function, name, line in _power_readers(tree, path.name))
     assert offenders == []
+
+
+# ext4 flushes a file to disk when it is closed after a truncate to
+# zero, so a CLI call that rewrote its --out file that way waited on the
+# disk.  cli._emit rewrites in place; it is the only writer.
+FILE_WRITERS = {("cli.py", "_emit")}
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _file_opens(tree):
+    """(definition, line, writes, truncates) of each call that opens a
+    file: os.open by its flags, open or .open by its mode (a mode that is
+    not a literal counts as "w"), where "w" truncates unless the file is
+    a descriptor from os.open, and .write_text or .write_bytes, which
+    write and truncate."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        descriptors = {target.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                       for target in node.targets if isinstance(target, ast.Name)
+                       and isinstance(node.value, ast.Call)
+                       and ast.unparse(node.value.func) == "os.open"}
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func == "os.open":
+                flags = {n.attr if isinstance(n, ast.Attribute) else n.id
+                         for arg in node.args[1:2] for n in ast.walk(arg)
+                         if isinstance(n, (ast.Attribute, ast.Name))}
+                yield name, node.lineno, bool(flags & WRITE_FLAGS), "O_TRUNC" in flags
+            elif func == "open" or func.endswith(".open"):
+                at = 1 if func in ("open", "io.open") else 0  # else Path.open(mode)
+                mode = node.args[at] if len(node.args) > at else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                mode = mode.value if isinstance(mode, ast.Constant) else "w?"
+                on_fd = (node.args and isinstance(node.args[0], ast.Name)
+                         and node.args[0].id in descriptors)
+                yield (name, node.lineno, any(c in mode for c in "wax+"),
+                       "w" in mode and not on_fd)
+            elif func.endswith((".write_text", ".write_bytes")):
+                yield name, node.lineno, True, True
+
+
+def _open_offenders(source, path_name):
+    for name, line, writes, truncates in _file_opens(ast.parse(source)):
+        if truncates:
+            yield f"{path_name}:{line} opens a file truncating it in {name}"
+        elif writes and (path_name, name) not in FILE_WRITERS:
+            yield f"{path_name}:{line} opens a file for writing in {name}"
+
+
+def test_only_the_cli_writer_opens_a_file_for_writing_and_nothing_truncates():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders.extend(_open_offenders(path.read_text(encoding="utf-8"), path.name))
+    assert offenders == []
+
+
+def test_the_open_rule_catches_truncating_and_stray_writers():
+    truncating = [
+        'def _emit(text, out):\n    with open(out, "w") as h:\n        h.write(text)\n',
+        'def _emit(out):\n    open(out, mode="w+")\n',
+        "def _emit(out):\n    os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n",
+        'def _emit(path, text):\n    path.write_text(text)\n',
+        'def _emit(path, mode):\n    path.open(mode)\n',
+    ]
+    for source in truncating:
+        assert [m.split(" in ")[0] for m in _open_offenders(source, "cli.py")] == [
+            "cli.py:2 opens a file truncating it"], source
+    in_place = ('def {}(out):\n    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)\n'
+                '    with open(fd, "w") as h:\n        h.truncate()\n')
+    assert list(_open_offenders(in_place.format("_emit"), "cli.py")) == []
+    assert list(_open_offenders(in_place.format("save"), "cli.py")) == [
+        "cli.py:2 opens a file for writing in save",
+        "cli.py:3 opens a file for writing in save"]
+    assert list(_open_offenders('def load(p):\n    return open(p).read()\n', "x.py")) == []
 
 
 def test_importing_the_package_loads_no_thread_pool():
