@@ -179,20 +179,23 @@ class SearchTrajectory:
 
     ray, inner, outer, cost and cum (the running cost, summed in walk
     order) hold one entry per excursion; next_same[k] is the next
-    excursion on k's ray, or -1, linked when read (growth links nothing,
-    so per-index growth pays no linking).  A tagged plan whose generator is a
-    CyclicDepths is read in blocks of its depth function, with the checks
-    of Excursion and SearchPlan.excursion made on the arrays; any other
-    plan (custom, or with its generator swapped) calls plan.excursion
-    once per index, which a CyclicDepths answers from its memoized block.
-    Block-read rays are k % m by construction, so their links follow
-    from that rule and equal those of the sort that links other plans.
-    The first block's arrays become the columns; full columns are
-    replaced by ones of twice the size, with the filled prefix copied.
-    The first index that cannot be materialized (the plan raises, or cum
-    leaves float range) ends the prefix, and its error is raised to every
-    caller that needs it.  hint appends advice to the overflow message
-    (competitive_ratio gives it, the pass streams do not).
+    excursion on k's ray, or -1, linked when read by one stable sort
+    (growth links nothing, so per-index growth pays no linking).  A
+    tagged plan whose generator is a CyclicDepths is read in blocks of
+    its depth function, with the checks of Excursion and
+    SearchPlan.excursion made on the arrays; any other plan (custom, or
+    with its generator swapped) calls plan.excursion once per index,
+    which a CyclicDepths answers from its memoized block.  Block-read
+    excursion k is on ray k % stride, stride being the generator's m
+    (not ray_count, which a replaced plan may raise), so the next
+    excursion on its ray is k + stride; stride is 0 on a per-index
+    trajectory.  The first block's arrays become the columns; full
+    columns are replaced by ones of twice the size, with the filled
+    prefix copied.  The first index that cannot be materialized (the
+    plan raises, or cum leaves float range) ends the prefix, and its
+    error is raised to every caller that needs it.  hint appends advice
+    to the overflow message (competitive_ratio gives it, the pass
+    streams do not).
     """
 
     def __init__(self, plan: SearchPlan, *, hint: bool = False) -> None:
@@ -203,30 +206,29 @@ class SearchTrajectory:
         self.inner, self.outer, self.cost, self.cum = (np.empty(0) for _ in range(4))
         self._linked = 0
         self._error: Optional[Exception] = None
-        self._cyclic = isinstance(plan.generator, CyclicDepths) and plan.tag.kind != "custom"
-        if not self._cyclic:  # each ray's last linked excursion, for the sort
-            self._last = np.full(plan.ray_count, -1)
+        block_read = isinstance(plan.generator, CyclicDepths) and plan.tag.kind != "custom"
+        self.stride = plan.generator.m if block_read else 0
 
     def reach(self, count: int, bound: int = 0) -> None:
         """Materialize the first count excursions, or raise the error of
         the first one that cannot be.  A read, by block or per index,
         runs ahead up to twice the size, but not past bound, the furthest
         count the caller expects to need (a pass stream's end, or for
-        frontier_passes the count + m · passes excursions that hold every
-        pass on a factory plan); an error past count waits for a caller
-        that needs it.  Past MAX_TRAJECTORY excursions it raises."""
+        frontier_passes the excursions that hold every pass on a factory
+        plan); an error past count waits for a caller that needs it.
+        Past MAX_TRAJECTORY excursions it raises."""
         while self.size < count:
             if self._error is not None:
                 raise self._error
             _check_room(self.size, count, "excursions")
             lo = self.size
             hi = min(max(count, min(2 * lo, bound)), MAX_TRAJECTORY)
-            if not self._cyclic:
+            if not self.stride:
                 self._fill(lo, *self._excursions(lo, hi))
                 continue
             inner, outer = self.plan.generator.depths(lo, hi)
             inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
-            ray = np.arange(lo, lo + len(outer)) % self.plan.generator.m
+            ray = np.arange(lo, lo + len(outer)) % self.stride
             ok = (0 <= inner) & (inner < outer) & (ray < self.plan.ray_count)
             n = len(ok) if ok.all() else int(ok.argmin())
             self._fill(lo, ray[:n], inner[:n], outer[:n], None)
@@ -286,23 +288,15 @@ class SearchTrajectory:
     @property
     def next_same(self) -> np.ndarray:
         """The next-excursion links, after linking the excursions added
-        since the last read.  On a block-read plan excursion k is on ray
-        k % generator.m (not ray_count, which a replaced plan may raise),
-        so k links to k + m, or -1 past the prefix, and each read relinks
-        the previous read's last m.  Other plans are linked by a stable
-        sort by ray, which puts each ray's last linked excursion (from
-        _last) ahead of its new ones, in order."""
+        since the last read: a stable sort by ray puts each ray's last
+        linked excursion (kept in _last, -1 before the first link) ahead
+        of its new ones, in order."""
         lo, hi = self._linked, self.size
-        if lo < hi and self._cyclic:
-            m = self.plan.generator.m
-            start = max(lo - m, 0)
-            self._next[start:hi] = np.arange(start + m, hi + m)
-            self._next[max(hi - m, start):hi] = -1
-            self._linked = hi
-        elif lo < hi:
-            m = len(self._last)
+        if lo < hi:
+            m = self.plan.ray_count
+            last = self._last if lo else np.full(m, -1)
             order = np.concatenate((np.arange(m), self.ray[lo:hi])).argsort(kind="stable")
-            chain = np.concatenate((self._last, np.arange(lo, hi)))[order]
+            chain = np.concatenate((last, np.arange(lo, hi)))[order]
             same = order[1:] >= m  # chain[i + 1] follows chain[i] on its ray
             link = same & (chain[:-1] >= 0)
             self._next[lo:hi] = -1

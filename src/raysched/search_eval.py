@@ -125,39 +125,60 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
     candidate's ordinal-th pass (from 0) costs cost; ordinal is at most
     passes.  Candidates keep their positions, so a sweep costs
     O(count · passes); a live mask drops a candidate after its last pass,
-    or once its ray has no next excursion within its reach.  Without
-    grow, candidates end with the prefix.  With grow, the trajectory is
-    extended while a live candidate waits for its ray's next excursion,
-    up to the stream length of visit_cost_stream, and reads run ahead no
-    further than count + m · passes excursions until a candidate needs
-    more: on a plan that visits its m rays in turn and passes each
-    candidate on each of the next `passes` excursions of its ray (every
-    factory plan the detection series sweeps), these hold every pass.
+    or once its ray has no next excursion within its reach.  On a
+    block-read trajectory the candidates advance together, by its stride:
+    candidate i reads excursion start + i, so each step reads the columns
+    as slice views from start, and an index array only once some
+    candidates have run off the prefix.  Per-index plans follow their
+    next_same links.  Without grow, candidates end with the prefix.  With
+    grow, the trajectory is extended while a live candidate waits for its
+    ray's next excursion, up to the stream length of visit_cost_stream,
+    and reads run ahead no further than count + m · passes excursions
+    (count + m · ceil(passes / 2) under both directions) until a
+    candidate needs more: on a plan that visits its m rays in turn and
+    passes each candidate on each of the next excursions of its ray, once
+    outward-only and at least twice, out and back, under both directions
+    (every factory plan the detection series sweeps), these hold every
+    pass.
     """
     trajectory.reach(count)
     point = trajectory.outer[:count]
     seen = np.zeros(count, dtype=np.intp)
     live = np.ones(count, dtype=bool)
-    k = np.arange(count)
+    k, start, stride = np.arange(count), 0, trajectory.stride
     bound = count + _STREAM_EXCURSIONS
-    ahead = min(bound, count + plan.ray_count * passes)
+    ahead = min(bound, count + plan.ray_count * (passes if outward_only else -(-passes // 2)))
     stream_end = np.arange(_STREAM_EXCURSIONS, bound)  # each candidate's last excursion
     while True:
-        nxt = trajectory.next_same[k]
-        if grow:
-            waiting = set(trajectory.ray[k[(nxt < 0) & live]].tolist())
-            if waiting:  # read on until every waiting candidate's ray comes round again
-                while waiting and trajectory.size < bound:
-                    lo = trajectory.size
-                    trajectory.reach(lo + 1, ahead if lo < ahead else bound)
-                    waiting -= set(trajectory.ray[lo:trajectory.size].tolist())
-                nxt = trajectory.next_same[k]
-            if trajectory.size > _STREAM_EXCURSIONS:  # else nxt is within every stream
-                live &= nxt <= stream_end
-        live &= nxt >= 0
+        if stride:
+            start += stride
+            if start + count > trajectory.size:  # some candidates are past the prefix
+                if grow and live.any():  # read on to the last live one's excursion
+                    needed = min(start + count - int(np.argmax(live[::-1])), bound)
+                    while trajectory.size < needed:
+                        lo = trajectory.size
+                        trajectory.reach(lo + 1, ahead if lo < ahead else bound)
+                    if start > _STREAM_EXCURSIONS:  # past every candidate's stream
+                        return
+                live[max(trajectory.size - start, 0):] = False
+            k = (slice(start, start + count) if start + count <= trajectory.size
+                 else np.where(live, np.arange(start, start + count), 0))
+        else:
+            nxt = trajectory.next_same[k]
+            if grow:
+                waiting = set(trajectory.ray[k[(nxt < 0) & live]].tolist())
+                if waiting:  # read on until every waiting candidate's ray comes round again
+                    while waiting and trajectory.size < bound:
+                        lo = trajectory.size
+                        trajectory.reach(lo + 1, ahead if lo < ahead else bound)
+                        waiting -= set(trajectory.ray[lo:trajectory.size].tolist())
+                    nxt = trajectory.next_same[k]
+                if trajectory.size > _STREAM_EXCURSIONS:  # else nxt is within every stream
+                    live &= nxt <= stream_end
+            live &= nxt >= 0
+            k = np.maximum(nxt, 0)  # an ended candidate reads excursion 0, unused
         if not np.count_nonzero(live):
             return
-        k = np.maximum(nxt, 0)  # an ended candidate reads excursion 0, unused
         for hit, cost in _passes(plan, trajectory, k, point, beyond=True,
                                  outward_only=outward_only):
             hit &= live

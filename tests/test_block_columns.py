@@ -1,7 +1,7 @@
 """Factory search plans are read in column blocks; every other plan calls
 its generator once per index.  The two paths must agree to the last bit,
 errors included, and the block path must stay within what its caller
-may read."""
+may read; the sweeps walk it by its stride, never by next_same links."""
 
 import dataclasses
 import functools
@@ -20,6 +20,7 @@ from raysched.core import (
     SearchTrajectory,
 )
 from raysched import search_eval
+from raysched.claims import ClaimConfig, run_claim_catalog
 from raysched.search_eval import competitive_ratio, cost_to_visit, rth_visit
 from raysched.search_eval import visit_cost_stream
 from raysched.stochastic import (
@@ -210,15 +211,42 @@ def per_index_calls(monkeypatch):
     return calls
 
 
-def test_sweeps_of_factory_plans_make_no_per_index_call(per_index_calls):
+def _sweep_factory_plans():
+    """Both sweeps, every semantics and rule, on each family and on a
+    plan replaced to extra rays."""
     for plan in (make_exponential_search(3, 1.4), make_nm_search(2, 1.5, 2),
-                 make_geometric_search(2, 1.5)):
+                 make_geometric_search(2, 1.5),
+                 dataclasses.replace(make_exponential_search(2, 1.4), ray_count=4)):
         for r in (1, 2, 3):
             competitive_ratio(plan, rth_visit(r), 300)
         for rule in DirectionRule:
             probabilistic_competitive_ratio(plan, DetectionModel(1.0, rule), 300)
         probabilistic_competitive_ratio(plan, DetectionModel(0.9), 300)
+
+
+def test_sweeps_of_factory_plans_make_no_per_index_call(per_index_calls):
+    _sweep_factory_plans()
     assert per_index_calls == []
+
+
+def test_sweeps_of_factory_plans_read_no_links(monkeypatch):
+    """The lock step walks a block-read trajectory by its stride, so a
+    sweep of a factory plan, the catalog's prob-search rows included,
+    never reads next_same; a custom twin still follows its links."""
+    reads = []
+
+    def refuse(self):
+        reads.append(self.plan.tag.kind)
+        raise AssertionError("next_same read")
+
+    monkeypatch.setattr(SearchTrajectory, "next_same", property(refuse))
+    _sweep_factory_plans()
+    checks = run_claim_catalog(ClaimConfig(subset="prob-search"))
+    assert {check.claim_id for check in checks} == {"prob-search-lower", "prob-search-upper"}
+    assert reads == []
+    with pytest.raises(AssertionError, match="next_same read"):
+        competitive_ratio(_custom(make_exponential_search(3, 1.4)), rth_visit(1), 300)
+    assert reads == ["custom"]
 
 
 def test_blocks_stay_within_twice_the_count_and_the_bound():
@@ -252,10 +280,13 @@ def test_series_sweep_reads_no_further_than_the_stream_limit(monkeypatch):
 ], ids=["exponential-both", "exponential-outward", "nm-2", "p=1"])
 def test_series_sweep_reads_no_further_than_its_passes_need(plan, p, rule):
     """Each later excursion on a cyclic plan's ray passes a frontier
-    target, so count + m · passes excursions hold every pass the series
-    sums, and the read-ahead stops there."""
+    target, outward and, under both directions, back again, so count +
+    m · passes excursions (m · ceil(passes / 2) under both directions)
+    hold every pass the series sums, and the read-ahead stops there."""
     recorded, blocks = _recorded(plan)
     passes = sum(1 for _ in _series_weights(p, 1e-12))
+    if rule is DirectionRule.BOTH_DIRECTIONS:
+        passes = -(-passes // 2)
     horizon = 200
     report = probabilistic_competitive_ratio(recorded, DetectionModel(p, rule), horizon)
     assert max(hi for _, hi in blocks) <= horizon + plan.ray_count * passes

@@ -1,5 +1,6 @@
 """Source hygiene: no package module imports another module's private
-names, every exported name has a reader, schedule jobs are read through
+names or reads an object's private attribute other than its own (on
+self or cls), every exported name has a reader, schedule jobs are read through
 one of the two walkers, a plan's family is read from its tag only by the
 table's lookup and a few known readers, np.power is called only in the
 Monte Carlo kernel and np.float_power only where plan powers are taken,
@@ -32,6 +33,30 @@ def test_no_module_imports_a_private_name():
                 if alias.name.startswith("_")
             )
     assert offenders == []
+
+
+def _private_attributes(source):
+    """(line, expression) of each attribute with a leading underscore
+    taken on anything but self or cls; dunder names are the language's,
+    not private."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    """A reader goes through public names: the lock step in
+    search_eval reads a trajectory's stride, not its internals."""
+    offenders = [f"{path.name}:{line} reads {expression}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for line, expression in _private_attributes(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+    probe = ("def f(self, trajectory):\n    self._x = cls._y = object.__setattr__\n"
+             "    return trajectory._cyclic, search_eval._STREAM_EXCURSIONS\n")
+    assert list(_private_attributes(probe)) == [
+        (3, "trajectory._cyclic"), (3, "search_eval._STREAM_EXCURSIONS")]
 
 
 # Exported names no package module reads, each with the reader outside

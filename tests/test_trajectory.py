@@ -1,6 +1,7 @@
 """The columnar search trajectory and its pass-cost kernel against the
 scalar reference walk in reference_walk.py: equal to the last bit on
-custom plans and on tagged plans at deep horizons, and generating each
+custom plans, custom twins and block-read factory plans (the lock step's
+slice path) at short and deep horizons, and generating each
 excursion at most once and no further than the scalar walk did, or than
 the read-ahead bound its caller gives.  The trajectory's next-excursion
 links equal a scalar link of its rays."""
@@ -73,26 +74,66 @@ def custom_plans(draw):
     return _jittered_plan(m, pattern, growth, cost_model, traversals)
 
 
+# Bases from 1e9 up overflow within the sweeps below, some in the
+# generator and some in the cumulative cost.
+_TWIN_BASES = (st.floats(min_value=1.5, max_value=3.0)
+               | st.floats(min_value=1e9, max_value=1e12)
+               | st.sampled_from([1e30, 1e200]))
+# A tagged sweep compares its supremum with the family's limit, which
+# rounding in the cumulative cost can pass at large bases (b = 1e9 reads
+# 2000000107.05 against 2000000003.0), so tagged plans overflow only
+# where every sweep below does: in the cumulative cost at 1e154, in the
+# generator at 1e200, both within three excursions per ray.
+_TAGGED_BASES = st.floats(min_value=1.5, max_value=3.0) | st.sampled_from([1e154, 1e200])
+
+
 @st.composite
-def factory_twins(draw):
-    """A custom twin of a factory plan: the tag dropped, the factory's
-    CyclicDepths generator kept, so it is read one index at a time.
-    Bases from 1e9 up overflow within the sweeps below, some in the
-    generator and some in the cumulative cost; a geometric plan passes
-    each point once, so its stream walks to the overflow, which the
-    lowest base 1.5 keeps within a few thousand excursions."""
-    family = draw(st.sampled_from(["exponential", "nm", "geometric"]))
+def factory_plans(draw, p=None, twin=False):
+    """A factory plan, read in blocks: exponential, nm with 1-3
+    traversals, or geometric, some replaced to up to two extra rays they
+    never visit, so their stride is the generator's m, not ray_count.
+    Given a detection probability p, the base keeps b^ray_count (1 - p)
+    under 1, where the tagged series sweep runs, and a geometric plan,
+    which passes each point once, is drawn only at p = 1.  With twin,
+    the bases are the twins' and no ray is added."""
+    families = ["exponential", "nm"] + (["geometric"] if p in (None, 1.0) else [])
+    family = draw(st.sampled_from(families))
     m = draw(st.integers(min_value=2, max_value=5))
-    b = draw(st.floats(min_value=1.5, max_value=3.0)
-             | st.floats(min_value=1e9, max_value=1e12)
-             | st.sampled_from([1e30, 1e200]))
+    extra = 0 if twin else draw(st.integers(min_value=0, max_value=2))
+    if p is None:
+        b = draw(_TWIN_BASES if twin else _TAGGED_BASES)
+    else:
+        top = 3.0 if p == 1.0 else min(3.0, (1.0 / (1.0 - p)) ** (1.0 / (m + extra)))
+        b = draw(st.floats(min_value=1.01, max_value=top, exclude_max=True))
     if family == "exponential":
         plan = make_exponential_search(m, b)
     elif family == "geometric":
         plan = make_geometric_search(m, b)
     else:
         plan = make_nm_search(m, b, draw(st.integers(min_value=1, max_value=3)))
-    return _custom_twin(plan)
+    return dataclasses.replace(plan, ray_count=m + extra) if extra else plan
+
+
+def _custom_twin(plan):
+    return make_custom_search(plan.ray_count, plan.generator, plan.cost_model,
+                              plan.traversals)
+
+
+def factory_twins():
+    """A custom twin of a factory plan: the tag dropped, the factory's
+    CyclicDepths generator kept, so it is read one index at a time.  A
+    geometric plan passes each point once, so its stream walks to the
+    overflow, which the lowest base 1.5 keeps within a few thousand
+    excursions."""
+    return factory_plans(twin=True).map(_custom_twin)
+
+
+@st.composite
+def detection_cases(draw):
+    """(plan, p): a custom plan, or a factory plan whose series the
+    tagged sweep runs (see factory_plans)."""
+    p = draw(st.floats(min_value=0.3, max_value=1.0) | st.just(1.0))
+    return draw(custom_plans() | factory_plans(p)), p
 
 
 def _outcome(call):
@@ -116,9 +157,14 @@ _SPARSE_RAY = _jittered_plan(2, [(1, 1.0, 0.5)] + [(0, 1.0, 0.5)] * 7, 2.0,
                              CostModel.EXPANDING, 1)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @example(plan=_UNPASSED, r=1, extra=0)
-@given(plan=custom_plans() | factory_twins(), r=st.integers(min_value=1, max_value=3),
+# A geometric plan passes each point once, so no candidate has a second
+# pass: all of them run off the prefix, the last ones first.
+@example(plan=make_geometric_search(3, 1.5), r=2, extra=20)
+@example(plan=dataclasses.replace(make_nm_search(2, 2.0, 3), ray_count=4), r=3, extra=7)
+@given(plan=custom_plans() | factory_twins() | factory_plans(),
+       r=st.integers(min_value=1, max_value=3),
        extra=st.integers(min_value=0, max_value=40))
 def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
     horizon = plan.ray_count + extra
@@ -130,15 +176,19 @@ def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
     assert _outcome(sweep) == _outcome(lambda: ref.competitive_sweep(plan, r, horizon))
 
 
-@settings(max_examples=60, deadline=None)
-@example(plan=_SPARSE_RAY, p=0.3125, outward_only=False, extra=2)
-@given(
-    plan=custom_plans(),
-    p=st.floats(min_value=0.3, max_value=1.0),
-    outward_only=st.booleans(),
-    extra=st.integers(min_value=0, max_value=25),
-)
-def test_probabilistic_sweep_equals_the_scalar_walk(plan, p, outward_only, extra):
+@settings(max_examples=100, deadline=None)
+@example(case=(_SPARSE_RAY, 0.3125), outward_only=False, extra=2)
+# Two candidates and 78 passes: the reads double from 2 toward the
+# hint, so the trajectory grows again and again in the middle of the sweep.
+@example(case=(make_exponential_search(2, tuned_search_base(2, 0.3)), 0.3),
+         outward_only=False, extra=0)
+@example(case=(dataclasses.replace(make_nm_search(3, 1.05, 2), ray_count=5), 0.5),
+         outward_only=True, extra=4)
+@example(case=(make_geometric_search(2, 1.5), 1.0), outward_only=False, extra=9)
+@given(case=detection_cases(), outward_only=st.booleans(),
+       extra=st.integers(min_value=0, max_value=25))
+def test_probabilistic_sweep_equals_the_scalar_walk(case, outward_only, extra):
+    plan, p = case
     horizon = plan.ray_count + extra
     rule = DirectionRule.OUTWARD_ONLY if outward_only else DirectionRule.BOTH_DIRECTIONS
 
@@ -220,13 +270,15 @@ def test_sweeps_generate_each_excursion_once_and_no_further():
     counted, calls = _counted(series)
     report = probabilistic_competitive_ratio(counted, model, horizon)
     # Past the horizon one per-index read runs ahead, as a block read
-    # does, to the count + m · passes excursions that hold every pass of
-    # a factory plan; the error of an excursion the walk does not need
-    # waits for a caller that needs it.
+    # does, to the count + m · ceil(passes / 2) excursions that hold every
+    # pass of a factory plan under both directions (each later excursion
+    # passes a frontier target out and back), which is where the scalar
+    # walk stops; the error of an excursion the walk does not need waits
+    # for a caller that needs it.
     passes = sum(1 for _ in _series_weights(0.3, 1e-12))
-    assert max(calls.values()) == 1 and max(calls) == horizon + 2 * passes - 1
+    assert max(calls.values()) == 1 and max(calls) == horizon + 2 * -(-passes // 2) - 1
     _, _, furthest = ref.probabilistic_sweep(series, 0.3, False, horizon)
-    assert furthest < max(calls)
+    assert furthest == max(calls)
     fenced, _ = _counted(series, stop=furthest)
     assert probabilistic_competitive_ratio(fenced, model, horizon) == report
 
@@ -263,11 +315,6 @@ def _assert_linked(trajectory):
     size = trajectory.size
     assert trajectory.next_same[:size].tolist() == _scalar_links(
         trajectory.ray[:size].tolist())
-
-
-def _custom_twin(plan):
-    return make_custom_search(plan.ray_count, plan.generator, plan.cost_model,
-                              plan.traversals)
 
 
 FACTORIES = {
