@@ -121,9 +121,10 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
     """The first `passes` passes over the targets just beyond the
     frontiers of excursions 0..count-1, each scanning its ray's later
     excursions, all in lock step: yields (hit, ordinal, cost) per move,
-    full-width arrays valid until the next move.  Where hit is set, the
-    candidate's ordinal-th pass (from 0) costs cost; ordinal is at most
-    passes.  Candidates keep their positions, so a sweep costs
+    full-width arrays valid until the next move, and read-only: under
+    EXPANDING, cost can be a view of the trajectory's cum column.  Where
+    hit is set, the candidate's ordinal-th pass (from 0) costs cost;
+    ordinal is at most passes.  Candidates keep their positions, so a sweep costs
     O(count · passes); a live mask drops a candidate after its last pass,
     or once its ray has no next excursion within its reach.  On a
     block-read trajectory the candidates advance together, by its stride:
@@ -134,12 +135,12 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
     grow, the trajectory is extended while a live candidate waits for its
     ray's next excursion, up to the stream length of visit_cost_stream,
     and reads run ahead no further than count + m · passes excursions
-    (count + m · ceil(passes / 2) under both directions) until a
-    candidate needs more: on a plan that visits its m rays in turn and
-    passes each candidate on each of the next excursions of its ray, once
-    outward-only and at least twice, out and back, under both directions
-    (every factory plan the detection series sweeps), these hold every
-    pass.
+    (count + m · ceil(passes / 2) under both directions and STANDARD
+    costs) until a candidate needs more: on a plan that visits its m rays
+    in turn and passes each candidate on each of the next excursions of
+    its ray, once outward-only or under EXPANDING and at least twice, out
+    and back, otherwise (every factory plan the detection series sweeps),
+    these hold every pass.
     """
     trajectory.reach(count)
     point = trajectory.outer[:count]
@@ -147,7 +148,8 @@ def frontier_passes(plan: SearchPlan, trajectory: SearchTrajectory, count: int,
     live = np.ones(count, dtype=bool)
     k, start, stride = np.arange(count), 0, trajectory.stride
     bound = count + _STREAM_EXCURSIONS
-    ahead = min(bound, count + plan.ray_count * (passes if outward_only else -(-passes // 2)))
+    twice = plan.cost_model is CostModel.STANDARD and not outward_only
+    ahead = min(bound, count + plan.ray_count * (-(-passes // 2) if twice else passes))
     stream_end = np.arange(_STREAM_EXCURSIONS, bound)  # each candidate's last excursion
     while True:
         if stride:

@@ -83,7 +83,9 @@ _TWIN_BASES = (st.floats(min_value=1.5, max_value=3.0)
 # rounding in the cumulative cost can pass at large bases (b = 1e9 reads
 # 2000000107.05 against 2000000003.0), so tagged plans overflow only
 # where every sweep below does: in the cumulative cost at 1e154, in the
-# generator at 1e200, both within three excursions per ray.
+# generator at 1e200, both within three excursions per ray.  The xfail
+# example of test_competitive_sweep_equals_the_scalar_walk keeps the
+# rounding fault in view.
 _TAGGED_BASES = st.floats(min_value=1.5, max_value=3.0) | st.sampled_from([1e154, 1e200])
 
 
@@ -130,10 +132,14 @@ def factory_twins():
 
 @st.composite
 def detection_cases(draw):
-    """(plan, p): a custom plan, or a factory plan whose series the
-    tagged sweep runs (see factory_plans)."""
-    p = draw(st.floats(min_value=0.3, max_value=1.0) | st.just(1.0))
-    return draw(custom_plans() | factory_plans(p)), p
+    """(plan, p): a custom plan with p in [0.3, 1], or a factory plan
+    whose series the tagged sweep runs (see factory_plans), with p = 1
+    drawn about half the time, where geometric plans come up."""
+    p = st.floats(min_value=0.3, max_value=1.0)
+    if draw(st.booleans()):
+        return draw(custom_plans()), draw(p)
+    p = draw(p | st.just(1.0))
+    return draw(factory_plans(p)), p
 
 
 def _outcome(call):
@@ -157,8 +163,14 @@ _SPARSE_RAY = _jittered_plan(2, [(1, 1.0, 0.5)] + [(0, 1.0, 0.5)] * 7, 2.0,
                              CostModel.EXPANDING, 1)
 
 
-@settings(max_examples=160, deadline=None)
+@settings(max_examples=180, deadline=None)
 @example(plan=_UNPASSED, r=1, extra=0)
+# The tagged sweep's limit guard trips on rounding at b = 1e9 (see
+# _TAGGED_BASES); once that is mended this example passes, and
+# _TAGGED_BASES can take the twins' bases.
+@example(plan=make_exponential_search(2, 1e9), r=1, extra=0).xfail(
+    reason="finite supremum 2000000107.05 exceeds analytic limit 2000000003.0",
+    raises=AssertionError)
 # A geometric plan passes each point once, so no candidate has a second
 # pass: all of them run off the prefix, the last ones first.
 @example(plan=make_geometric_search(3, 1.5), r=2, extra=20)
@@ -176,7 +188,7 @@ def test_competitive_sweep_equals_the_scalar_walk(plan, r, extra):
     assert _outcome(sweep) == _outcome(lambda: ref.competitive_sweep(plan, r, horizon))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=240, deadline=None)
 @example(case=(_SPARSE_RAY, 0.3125), outward_only=False, extra=2)
 # Two candidates and 78 passes: the reads double from 2 toward the
 # hint, so the trajectory grows again and again in the middle of the sweep.
@@ -281,6 +293,20 @@ def test_sweeps_generate_each_excursion_once_and_no_further():
     assert furthest == max(calls)
     fenced, _ = _counted(series, stop=furthest)
     assert probabilistic_competitive_ratio(fenced, model, horizon) == report
+
+
+def test_expanding_sweep_reads_ahead_one_pass_per_excursion():
+    """Under EXPANDING each later excursion on the ray passes a frontier
+    target once, in either direction, so the read-ahead under both
+    directions is count + m · passes, where the scalar walk stops."""
+    plan = _jittered_plan(2, [(0, 1.0, 0.0), (1, 1.0, 0.0)], 1.1, CostModel.EXPANDING, 1)
+    horizon, p = 200, 0.3
+    counted, calls = _counted(plan)
+    report = probabilistic_competitive_ratio(counted, DetectionModel(p), horizon)
+    passes = sum(1 for _ in _series_weights(p, 1e-12))
+    _, _, furthest = ref.probabilistic_sweep(plan, p, False, horizon)
+    assert max(calls.values()) == 1 and max(calls) == furthest == horizon + 2 * passes - 1
+    assert report == probabilistic_competitive_ratio(plan, DetectionModel(p), horizon)
 
 
 def test_trajectory_keeps_the_first_failure():
