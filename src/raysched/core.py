@@ -166,76 +166,110 @@ def _cost(plan: SearchPlan, inner, outer):
     return inner + r * (outer - inner) + back
 
 
-def _check_room(size: int, count: int, unit: str) -> None:
-    """Raise when a trajectory at its MAX_TRAJECTORY entries is asked for
-    more; growth blocks stop at that size."""
-    if size >= MAX_TRAJECTORY:
-        raise ValueError(f"{count} {unit} requested, more than the "
-                         f"{MAX_TRAJECTORY} a trajectory may hold")
+class _Trajectory:
+    """A plan's prefix as columns, grown on demand: what search and
+    schedule trajectories share.
+
+    COLUMNS names the columns, set by the first read, an index (ray or
+    problem) first, then floats; each holds exactly size entries.  A
+    tagged plan whose generator carries a block function (its attribute
+    BLOCK, set by the factories) is read by block, with the per-index
+    checks made on the arrays; any other plan (custom, or with its
+    generator swapped) is read once per index.  A read stops at count or
+    runs ahead up to twice the size, but not past bound, the furthest
+    count the caller expects to need; past a floor of 4096 entries on a
+    block (a count up to 4096 is one block call) and 256 per index it at
+    most doubles the prefix, so a failure at index k is found after about
+    max(2k, floor) entries.  The first entry that cannot be materialized
+    ends the prefix, and its error is raised to every caller that needs
+    it; one past count waits for such a caller.  A read past
+    MAX_TRAJECTORY entries raises.  Each kind supplies the two reads,
+    _block_columns and _per_index, and _fill, which ends in _append.
+    """
+
+    COLUMNS: tuple[str, ...]
+    BLOCK: str
+    UNIT: str
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+        self.size = 0
+        self._error: Optional[Exception] = None
+        self._block = (None if plan.tag.kind == "custom"
+                       else getattr(plan.generator, self.BLOCK, None))
+
+    def reach(self, count: int, bound: int = 0) -> None:
+        """Materialize the first count entries, or raise the error of the
+        first one that cannot be."""
+        while self.size < count:
+            if self._error is not None:
+                raise self._error
+            lo = self.size
+            if lo >= MAX_TRAJECTORY:
+                raise ValueError(f"{count} {self.UNIT} requested, more than the "
+                                 f"{MAX_TRAJECTORY} a trajectory may hold")
+            per_index = self._block is None
+            hi = min(max(count, min(2 * lo, bound)), max(2 * lo, 256 if per_index else 4096),
+                     MAX_TRAJECTORY)
+            if per_index:
+                self._fill(lo, *self._per_index(lo, hi))
+                continue
+            columns = self._block_columns(lo, hi)
+            self._fill(lo, *columns, None)
+            end = lo + len(columns[0])
+            if self.size == end < hi:  # cut or rejected: the per-index read's error
+                self._error = self._per_index(end, end + 1)[-1]
+
+    def _append(self, error: Optional[Exception], *columns) -> None:
+        """Append the entries that passed, one array per column, and set
+        error, the failure just past them.  The first fill's arrays
+        become the columns; a later fill concatenates."""
+        size = self.size + len(columns[0])
+        for name, new in zip(self.COLUMNS, columns):
+            setattr(self, name, np.concatenate((getattr(self, name), new)) if self.size
+                    else new)
+        self.size, self._error = size, error
 
 
-class SearchTrajectory:
+class SearchTrajectory(_Trajectory):
     """A search plan's excursion prefix as columns, grown on demand.
 
     ray, inner, outer, cost and cum (the running cost, summed in walk
     order) hold one entry per excursion; next_same[k] is the next
     excursion on k's ray, or -1, linked when read by one stable sort
-    (growth links nothing, so per-index growth pays no linking).  A
-    tagged plan whose generator is a CyclicDepths is read in blocks of
-    its depth function, with the checks of Excursion and
-    SearchPlan.excursion made on the arrays; any other plan (custom, or
-    with its generator swapped) calls plan.excursion once per index,
-    which a CyclicDepths answers from its memoized block.  Block-read
-    excursion k is on ray k % stride, stride being the generator's m
-    (not ray_count, which a replaced plan may raise), so the next
-    excursion on its ray is k + stride; stride is 0 on a per-index
-    trajectory.  The first block's arrays become the columns; full
-    columns are replaced by ones of twice the size, with the filled
-    prefix copied.  The first index that cannot be materialized (the
-    plan raises, or cum leaves float range) ends the prefix, and its
-    error is raised to every caller that needs it.  hint appends advice
-    to the overflow message (competitive_ratio gives it, the pass
-    streams do not).
+    (growth links nothing, so per-index growth pays no linking).  The
+    block function is a CyclicDepths generator's depths, checked as
+    Excursion and SearchPlan.excursion check; per index, plan.excursion
+    answers, from its memoized block on a CyclicDepths.  Block-read
+    excursion k is on ray k % stride, stride being the generator's m (not
+    ray_count, which a replaced plan may raise), so the next excursion on
+    its ray is k + stride; stride is 0 on a per-index trajectory.  A cum
+    past float range ends the prefix too.  hint appends advice to the
+    overflow message (competitive_ratio gives it, the pass streams do
+    not).
     """
 
+    COLUMNS = ("ray", "inner", "outer", "cost", "cum")
+    BLOCK = "depths"
+    UNIT = "excursions"
+
     def __init__(self, plan: SearchPlan, *, hint: bool = False) -> None:
-        self.plan = plan
+        super().__init__(plan)
         self.hint = hint
-        self.size = 0
-        self.ray, self._next = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        self.inner, self.outer, self.cost, self.cum = (np.empty(0) for _ in range(4))
-        self._linked = 0
-        self._error: Optional[Exception] = None
-        block_read = isinstance(plan.generator, CyclicDepths) and plan.tag.kind != "custom"
-        self.stride = plan.generator.m if block_read else 0
+        self.stride = 0 if self._block is None else plan.generator.m
+        self._next = np.empty(0, dtype=np.intp)
 
-    def reach(self, count: int, bound: int = 0) -> None:
-        """Materialize the first count excursions, or raise the error of
-        the first one that cannot be.  A read, by block or per index,
-        runs ahead up to twice the size, but not past bound, the furthest
-        count the caller expects to need (a pass stream's end, or for
-        frontier_passes the excursions that hold every pass on a factory
-        plan); an error past count waits for a caller that needs it.
-        Past MAX_TRAJECTORY excursions it raises."""
-        while self.size < count:
-            if self._error is not None:
-                raise self._error
-            _check_room(self.size, count, "excursions")
-            lo = self.size
-            hi = min(max(count, min(2 * lo, bound)), MAX_TRAJECTORY)
-            if not self.stride:
-                self._fill(lo, *self._excursions(lo, hi))
-                continue
-            inner, outer = self.plan.generator.depths(lo, hi)
-            inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
-            ray = np.arange(lo, lo + len(outer)) % self.stride
-            ok = (0 <= inner) & (inner < outer) & (ray < self.plan.ray_count)
-            n = len(ok) if ok.all() else int(ok.argmin())
-            self._fill(lo, ray[:n], inner[:n], outer[:n], None)
-            if self.size == lo + n < hi:  # cut or rejected: plan.excursion's error
-                self._error = self._excursions(lo + n, lo + n + 1)[3]
+    def _block_columns(self, lo: int, hi: int) -> tuple:
+        """Columns of excursions lo..hi-1 by the depth function, cut at the
+        first that overflows or that Excursion or plan.excursion rejects."""
+        inner, outer = self._block(lo, hi)
+        inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
+        ray = np.arange(lo, lo + len(outer)) % self.stride
+        ok = (0 <= inner) & (inner < outer) & (ray < self.plan.ray_count)
+        n = len(ok) if ok.all() else int(ok.argmin())
+        return ray[:n], inner[:n], outer[:n]
 
-    def _excursions(self, lo: int, hi: int) -> tuple:
+    def _per_index(self, lo: int, hi: int) -> tuple:
         """Columns of excursions lo..hi-1 by plan.excursion, cut at the
         first that raises, and its error."""
         rays, inner, outer = [], [], []
@@ -254,8 +288,7 @@ class SearchTrajectory:
         """Append valid excursions lo.. with cost and cum, in the scalar
         chain's operand order; error is the failure just past them.  The
         first fill sums cost alone (the chain's 0.0 + cost[0] is cost[0]
-        to the bit, since a cost is never -0.0) and takes its arrays as
-        the columns, which no later fill writes: it grows them first."""
+        to the bit, since a cost is never -0.0)."""
         ray = np.asarray(ray, dtype=np.intp)
         inner, outer = np.asarray(inner, dtype=float), np.asarray(outer, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -268,22 +301,7 @@ class SearchTrajectory:
             advice = "; reduce the horizon or the growth base"
             error = ValueError(f"cumulative cost overflowed at excursion {lo + n}"
                                + (advice if self.hint else ""))
-        end = lo + n
-        if not lo:
-            self.ray, self.inner, self.outer, self.cost, self.cum = (
-                values[:n] for values in (ray, inner, outer, cost, cum))
-            self._next = np.empty(n, dtype=np.intp)
-        else:
-            if end > len(self.ray):
-                for name in ("ray", "_next", "inner", "outer", "cost", "cum"):
-                    grown = np.empty(2 * end + 64, dtype=getattr(self, name).dtype)
-                    grown[:lo] = getattr(self, name)[:lo]
-                    setattr(self, name, grown)
-            for column, values in ((self.ray, ray), (self.inner, inner), (self.outer, outer),
-                                   (self.cost, cost), (self.cum, cum)):
-                column[lo:end] = values[:n]
-        self.size = end
-        self._error = error
+        self._append(error, ray[:n], inner[:n], outer[:n], cost[:n], cum[:n])
 
     @property
     def next_same(self) -> np.ndarray:
@@ -291,7 +309,7 @@ class SearchTrajectory:
         since the last read: a stable sort by ray puts each ray's last
         linked excursion (kept in _last, -1 before the first link) ahead
         of its new ones, in order."""
-        lo, hi = self._linked, self.size
+        lo, hi = len(self._next), self.size
         if lo < hi:
             m = self.plan.ray_count
             last = self._last if lo else np.full(m, -1)
@@ -299,10 +317,9 @@ class SearchTrajectory:
             chain = np.concatenate((last, np.arange(lo, hi)))[order]
             same = order[1:] >= m  # chain[i + 1] follows chain[i] on its ray
             link = same & (chain[:-1] >= 0)
-            self._next[lo:hi] = -1
+            self._next = np.concatenate((self._next, np.full(hi - lo, -1, dtype=np.intp)))
             self._next[chain[:-1][link]] = chain[1:][link]
             self._last = chain[np.concatenate((~same, [True]))]
-            self._linked = hi
         return self._next
 
 
@@ -371,54 +388,30 @@ class SchedulePlan:
         return problem, length
 
 
-class ScheduleTrajectory:
+class ScheduleTrajectory(_Trajectory):
     """A schedule plan's job prefix as columns, grown on demand.
 
     problem, length and finish (the running clock, summed in schedule
     order; job k starts at finish[k - 1], job 0 at 0) hold one entry per
-    job.  A tagged plan whose generator carries a block function (its
-    jobs attribute, set by the factories) is read by block, with the
-    checks of SchedulePlan.job_spec made on the arrays; any other plan
-    (custom, or with its generator swapped) calls plan.job_spec once per
-    index.  A read stops at its count and otherwise at least doubles the
-    prefix, with a floor of 4096 jobs on a block (so a count up to 4096
-    is one block call) and of 256 on job_spec, so a failing job at index
-    k is found after about max(2k, floor) jobs.  The first job that fails
-    job_spec, overflows the clock or breaks Job's finish - start ==
-    length rule ends the prefix, and its error is raised to every caller
-    that needs it.
+    job.  The block function is the factory generator's jobs, checked as
+    SchedulePlan.job_spec checks; per index, plan.job_spec answers.  A
+    prefix ends at the first job that fails job_spec, overflows the clock
+    or breaks Job's finish - start == length rule.
     """
 
-    def __init__(self, plan: SchedulePlan) -> None:
-        self.plan = plan
-        self.size = 0
-        self.problem = np.empty(0, dtype=np.intp)
-        self.length, self.finish = np.empty(0), np.empty(0)
-        self._error: Optional[Exception] = None
-        self._block = (None if plan.tag.kind == "custom"
-                       else getattr(plan.generator, "jobs", None))
+    COLUMNS = ("problem", "length", "finish")
+    BLOCK = "jobs"
+    UNIT = "jobs"
 
-    def reach(self, count: int) -> None:
-        """Materialize the first count jobs, or raise the error of the
-        first one that cannot be.  Past MAX_TRAJECTORY jobs it raises."""
-        while self.size < count:
-            if self._error is not None:
-                raise self._error
-            _check_room(self.size, count, "jobs")
-            lo = self.size
-            hi = min(count, max(2 * lo, 256 if self._block is None else 4096),
-                     MAX_TRAJECTORY)
-            if self._block is None:
-                self._fill(lo, *self._specs(lo, hi))
-                continue
-            problem, length = self._block(lo, hi)
-            ok = (problem < self.plan.problem_count) & (length > 0)
-            n = len(ok) if ok.all() else int(ok.argmin())
-            self._fill(lo, problem[:n], length[:n], None)
-            if self.size == lo + n < hi:  # cut or rejected: job_spec's error
-                self._error = self._specs(lo + n, lo + n + 1)[2]
+    def _block_columns(self, lo: int, hi: int) -> tuple:
+        """Problems and lengths of jobs lo..hi-1 by the block function, cut
+        at the first that overflows or that job_spec rejects."""
+        problem, length = self._block(lo, hi)
+        ok = (problem < self.plan.problem_count) & (length > 0)
+        n = len(ok) if ok.all() else int(ok.argmin())
+        return problem[:n], length[:n]
 
-    def _specs(self, lo: int, hi: int) -> tuple:
+    def _per_index(self, lo: int, hi: int) -> tuple:
         """Problems and lengths of jobs lo..hi-1 by plan.job_spec, cut at
         the first that raises, and its error."""
         problems, lengths = [], []
@@ -437,9 +430,7 @@ class ScheduleTrajectory:
         """Append valid jobs lo.. with their finish times, cut at the first
         whose finish overflows or breaks Job.check_span; error is the
         failure just past them.  The columns pass every job math.isclose
-        passes (its CPython formula) and the scalar check decides the rest.
-        The first fill takes the three columns as they are; a later one
-        appends them, which copies the same values."""
+        passes (its CPython formula) and the scalar check decides the rest."""
         values = np.asarray(length, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             clock = np.add.accumulate(np.concatenate(
@@ -460,13 +451,7 @@ class ScheduleTrajectory:
             except ValueError as err:
                 n, error = k, err
                 break
-        columns = np.asarray(problem[:n], dtype=np.intp), values[:n], clock[1:n + 1]
-        if lo:
-            columns = [np.concatenate(pair) for pair in
-                       zip((self.problem, self.length, self.finish), columns)]
-        self.problem, self.length, self.finish = columns
-        self.size = lo + n
-        self._error = error
+        self._append(error, np.asarray(problem[:n], dtype=np.intp), values[:n], clock[1:n + 1])
 
 
 def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, float, float]]:
@@ -477,10 +462,10 @@ def jobs_before(plan: SchedulePlan, t: float) -> Iterator[tuple[int, float, floa
     NaN t raises at the call.  Time walks read 1 to 108 jobs in the
     catalog and bench; over that mix this loop costs a quarter of one
     trajectory block per walk (ROADMAP item 3).  Each job is checked in
-    the trajectory's order: job_spec, the clock's overflow, Job's span rule
-    on the full length, then a clock that no longer advances (a length
-    under the rule's 1e-12 absolute tolerance).  A walk that has not
-    reached t after MAX_WALK_JOBS jobs raises."""
+    ScheduleTrajectory's order: job_spec, the clock's overflow, Job's
+    span rule on the full length, then a clock that no longer advances (a
+    length under the rule's 1e-12 absolute tolerance).  A walk that has
+    not reached t after MAX_WALK_JOBS jobs raises."""
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
 

@@ -2,7 +2,8 @@
 names or reads an object's private attribute other than its own (on
 self or cls), every exported name has a reader, schedule jobs are read through
 one of the two walkers, a plan's family is read from its tag only by the
-table's lookup and a few known readers, np.power is called only in the
+table's lookup and a few known readers, the trajectory cap only by the
+trajectories' base and the detection sweep's guard, np.power is called only in the
 Monte Carlo kernel and np.float_power only where plan powers are taken,
 only the CLI's writer opens a file for writing and nothing truncates one
 on open, and importing the package loads no thread pool."""
@@ -111,10 +112,10 @@ def test_only_the_two_schedule_walkers_call_job_spec():
 
 
 # The table's lookup reads a plan's family from its tag; besides it, only
-# the trajectories (block paths for factory plans) and the detection
-# sweep's divergence test read the tag's kind or base.
-TAG_READERS = {("numopt.py", "family_limits"), ("core.py", "SearchTrajectory"),
-               ("core.py", "ScheduleTrajectory"), ("stochastic.py", "_unbounded_reason")}
+# the trajectories' base (block paths for factory plans) and the
+# detection sweep's divergence test read the tag's kind or base.
+TAG_READERS = {("numopt.py", "family_limits"), ("core.py", "_Trajectory"),
+               ("stochastic.py", "_unbounded_reason")}
 
 
 def _tag_readers(tree):
@@ -138,6 +139,26 @@ def test_only_the_table_lookup_and_known_readers_read_a_tags_family():
             f"{path.name}:{line} reads a tag's kind or base in {name}"
             for name, line in _tag_readers(tree)
             if (path.name, name) not in TAG_READERS
+        )
+    assert offenders == []
+
+
+# The trajectories' base holds every prefix to MAX_TRAJECTORY entries;
+# the detection sweep checks its horizon against it before allocating.
+CAP_READERS = {("core.py", "_Trajectory"), ("stochastic.py", "probabilistic_competitive_ratio")}
+
+
+def test_only_the_trajectory_base_and_the_sweep_guard_read_the_cap():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{node.lineno} reads MAX_TRAJECTORY in {getattr(top, 'name', '<module>')}"
+            for top in tree.body for node in ast.walk(top)
+            if ((isinstance(node, ast.Name) and node.id == "MAX_TRAJECTORY"
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == "MAX_TRAJECTORY"))
+            and (path.name, getattr(top, "name", "<module>")) not in CAP_READERS
         )
     assert offenders == []
 

@@ -3,8 +3,10 @@ scalar reference walk in reference_walk.py: equal to the last bit on
 custom plans, custom twins and block-read factory plans (the lock step's
 slice path) at short and deep horizons, and generating each
 excursion at most once and no further than the scalar walk did, or than
-the read-ahead bound its caller gives.  The trajectory's next-excursion
-links equal a scalar link of its rays."""
+the read-ahead bound its caller gives, and stopping soon after the
+first failing excursion.  The trajectory's next-excursion links equal a
+scalar link of its rays, and search and schedule trajectories grown fill
+by fill equal one read in a single fill."""
 
 import dataclasses
 import itertools
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_walk as ref
-from raysched.core import CostModel, Excursion, SearchPlan, SearchTrajectory
+from raysched.core import CostModel, Excursion, SearchPlan, SearchTrajectory, ScheduleTrajectory
 from raysched.search_eval import FIRST_VISIT, competitive_ratio, rth_visit
 from raysched.search_eval import visit_cost_stream
 from raysched.stochastic import (
@@ -26,7 +28,9 @@ from raysched.stochastic import (
     tuned_search_base,
 )
 from raysched.strategies import (
+    make_custom_schedule,
     make_custom_search,
+    make_exponential_schedule,
     make_exponential_search,
     make_geometric_search,
     make_nm_search,
@@ -326,6 +330,26 @@ def test_trajectory_keeps_the_first_failure():
     assert trajectory.size == 3 and calls[3] == 1
 
 
+def test_per_index_reads_stop_at_the_first_failing_excursion(monkeypatch):
+    """Per-index reads at least double past their floor of 256, so a
+    failure at excursion k is found after about max(2k, 256) excursions,
+    never after reading the whole horizon."""
+    calls = []
+    original = SearchPlan.excursion
+
+    def counted(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(SearchPlan, "excursion", counted)
+    plan = make_custom_search(2, lambda i: Excursion(i % 2, 0.0, 1e308))
+    with pytest.raises(ValueError) as info:
+        competitive_ratio(plan, FIRST_VISIT, 10**6)
+    assert str(info.value) == ("cumulative cost overflowed at excursion 0; reduce the "
+                               "horizon or the growth base")
+    assert 0 < len(calls) <= 256
+
+
 def _scalar_links(rays):
     """next_same of a ray column by a scalar walk: each excursion links
     to the next one on its ray, the last on each ray to -1."""
@@ -394,25 +418,36 @@ def test_per_index_links_equal_a_scalar_link(plan, reads):
     _assert_linked(trajectory)
 
 
-@pytest.mark.parametrize("twin", [False, True], ids=["tagged", "custom"])
-def test_growth_in_blocks_keeps_every_column_of_a_single_fill(twin):
-    """Reads of 1 to 97 excursions cross every capacity edge up to 3000,
-    with next_same read between some of them; each growth keeps the
-    whole filled prefix."""
-    plan = make_nm_search(3, 1.01, 2)
+GROWN = {
+    "search": (make_nm_search(3, 1.01, 2), _custom_twin, SearchTrajectory,
+               ("ray", "inner", "outer", "cost", "cum", "next_same")),
+    "schedule": (make_exponential_schedule(3, 1.001),
+                 lambda plan: make_custom_schedule(plan.problem_count, plan.generator),
+                 ScheduleTrajectory, ("problem", "length", "finish")),
+}
+
+
+@pytest.mark.parametrize("kind, twin", [("search", False), ("search", True),
+                                        ("schedule", False), ("schedule", True)],
+                         ids=["tagged", "custom", "schedule-tagged", "schedule-custom"])
+def test_growth_in_blocks_keeps_every_column_of_a_single_fill(kind, twin):
+    """Reads of 1 to 97 entries append fill after fill up to 3000, with
+    a search's next_same read between some of them; each growth keeps
+    the whole filled prefix."""
+    plan, custom_twin, trajectory_class, columns = GROWN[kind]
     if twin:
-        plan = _custom_twin(plan)
-    single = SearchTrajectory(plan)
+        plan = custom_twin(plan)
+    single = trajectory_class(plan)
     single.reach(3000)
-    grown = SearchTrajectory(plan)
+    grown = trajectory_class(plan)
     for step in itertools.cycle((1, 2, 97, 5, 64, 1, 33)):
         if grown.size >= 3000:
             break
         grown.reach(min(grown.size + step, 3000))
-        if step == 5:
+        if step == 5 and kind == "search":
             grown.next_same
     assert grown.size == single.size == 3000
-    for name in ("ray", "inner", "outer", "cost", "cum", "next_same"):
+    for name in columns:
         assert getattr(grown, name)[:3000].tolist() == getattr(single, name)[:3000].tolist(), name
 
 
