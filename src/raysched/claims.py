@@ -3,13 +3,18 @@ measurement.
 
 The catalog is one tuple of declared rows.  A row names its claim id,
 the relation and tolerance of the comparison, its parameter points and
-a measure function returning (reference value, measured value, params
-label) at one point; run_claim_catalog turns the rows into ClaimChecks
-in one loop.  Reference values come from the closed-form table in
-numopt, measurements from the evaluators.  Every sweep goes through
-the run's memo (_Run.sweep for a plan's sweep, _Run.once for the
-rest), so a sweep several rows need runs once per catalog run: each
-run keeps its own memo, and nothing survives it.
+a measure returning (reference value, measured value, params label) at
+one point; run_claim_catalog turns the rows into ClaimChecks in one
+loop.  Reference values come from the closed-form table in numopt.
+
+A row that reads one field of one plan's sweep declares the sweep as
+data, a _Sweep, and one generic measure serves every such row; a sweep
+that scores nothing within the horizon is an error naming the row, not
+a measured inf.  Evaluators, factories and semantics are looked up in
+this module's globals at call time, so a wrapper set here (a test's
+call counter, perfbench's tracer) sees every call.  Every sweep goes
+through the run's own memo (_Run.sweep, or _Run.once for the rest), so
+a sweep several rows need runs once per catalog run.
 
 Values are recorded verbatim even when measurement disagrees; entries
 known to disagree with the source are marked informational only where
@@ -133,6 +138,40 @@ def _log_grid(lo: float, hi: float, count: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (count - 1)) for i in range(count)]
 
 
+def _no_value(claim_id: str, params: str, horizon: int, note: str = "") -> ValueError:
+    return ValueError(f"claim {claim_id} at {params} has no value within horizon "
+                      f"{horizon}" + (f": {note}" if note else ""))
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """A row's measure off one plan's sweep: evaluator(factory(*args),
+    semantics(*point), horizon), whose read field is compared with the
+    closed form at the point.  args are named among the point's values
+    (params) and the base b, which base(*point) derives when given and
+    the label shows last unless label_base is False."""
+
+    params: str
+    evaluator: str
+    factory: str
+    args: str
+    semantics: Callable
+    read: str  # "limit_sup" or "finite_sup"
+    base: Callable | None = None
+    label_base: bool = True
+
+    def __call__(self, run: _Run, claim_id: str, *point) -> Measured:
+        named = dict(zip(self.params.split(), point))
+        values = named if self.base is None else {**named, "b": self.base(*point)}
+        label = _label(**(values if self.label_base else named))
+        report = run.sweep(globals()[self.evaluator], globals()[self.factory],
+                           tuple(values[name] for name in self.args.split()),
+                           self.semantics(*point))
+        if report.witness is None:
+            raise _no_value(claim_id, label, run.horizon, report.note or "")
+        return closed_form(claim_id, **named), getattr(report, self.read), label
+
+
 # -- measurements the acceptance suite also reads ---------------------------
 
 
@@ -193,40 +232,8 @@ def _worst_ceiling(claim_id: str, count: Callable[[float], int], query: str,
     return ceiling, float(worst), _label(**params, **{query: x})
 
 
-# -- measure functions: (run, claim_id, *point) -> Measured -----------------
-# Sweeps name their evaluator by its global in this module, so a wrapper
-# set there (a test's call counter, perfbench's tracer) sees every call.
-
-
-def _search_ratio_printed(run: _Run, claim_id: str, m: int) -> Measured:
-    b = optimal_base_search(m)
-    report = run.sweep(competitive_ratio, make_exponential_search, (m, b), FIRST_VISIT)
-    return closed_form(claim_id, m=m), report.limit_sup, _label(m=m, b=b)
-
-
-def _search_ratio_base(run: _Run, claim_id: str, m: int, b: float) -> Measured:
-    report = run.sweep(competitive_ratio, make_exponential_search, (m, b), FIRST_VISIT)
-    return closed_form(claim_id, m=m, b=b), report.limit_sup, _label(m=m, b=b)
-
-
-def _sched_ratio_optimal(run: _Run, claim_id: str, n: int) -> Measured:
-    b = optimal_base_schedule(n)
-    report = run.sweep(acceleration_ratio, make_exponential_schedule, (n, b),
-                       longest_completed())
-    return closed_form(claim_id, n=n), report.limit_sup, _label(n=n, b=b)
-
-
-def _sched_ratio_base(run: _Run, claim_id: str, n: int, b: float) -> Measured:
-    report = run.sweep(acceleration_ratio, make_exponential_schedule, (n, b),
-                       longest_completed())
-    return closed_form(claim_id, n=n, b=b), report.limit_sup, _label(n=n, b=b)
-
-
-def _prob_search(run: _Run, claim_id: str, m: int, p: float) -> Measured:
-    report = run.sweep(probabilistic_competitive_ratio, make_exponential_search,
-                       (m, tuned_search_base(m, p)),
-                       DetectionModel(p, DirectionRule.OUTWARD_ONLY))
-    return closed_form(claim_id, m=m, p=p), report.finite_sup, _label(m=m, p=p)
+# -- the other rows' measures: (run, claim_id, *point) -> Measured ----------
+# Their bodies call through this module's globals, as _Sweep does.
 
 
 def _prob_sched(run: _Run, claim_id: str, n: int, p: float) -> Measured:
@@ -240,23 +247,10 @@ def _fault_search(run: _Run, claim_id: str, m: int, r: int) -> Measured:
     return closed_form(claim_id, m=m, r=r), measured, _label(m=m, r=r, b=b)
 
 
-def _nm_search_upper(run: _Run, claim_id: str, m: int, r: int) -> Measured:
-    b = optimal_base_search(m)
-    report = run.sweep(competitive_ratio, make_nm_search, (m, b, r), rth_visit(r))
-    return closed_form(claim_id, m=m, r=r), report.limit_sup, _label(m=m, r=r, b=b)
-
-
 def _nm_vs_exponential(run: _Run, claim_id: str, m: int, r: int) -> Measured:
     exp_b, exp_value = run.once(_exp_fault_limit, m, r, run.horizon)
     nm_b, nm_value = run.once(_nm_best_limit, m, r, run.horizon)
     return exp_value, nm_value, _label(m=m, r=r, nm_b=nm_b, exp_b=exp_b)
-
-
-def _pseudo_repeat_ratio(run: _Run, claim_id: str, n: int, r: int) -> Measured:
-    b = optimal_base_schedule(n)
-    report = run.sweep(acceleration_ratio, make_pseudo_exponential_schedule,
-                       (n, b, r), r_times_completed(r))
-    return closed_form(claim_id, n=n, r=r), report.limit_sup, _label(n=n, r=r, b=b)
 
 
 def _pseudo_vs_exponential(run: _Run, claim_id: str, n: int, r: int) -> Measured:
@@ -266,13 +260,6 @@ def _pseudo_vs_exponential(run: _Run, claim_id: str, n: int, r: int) -> Measured
     exponential = run.sweep(acceleration_ratio, make_exponential_schedule,
                             (n, exp_b), rth_largest_completed(r))
     return exponential.limit_sup, pseudo.limit_sup, _label(n=n, r=r, exp_b=exp_b)
-
-
-def _rth_largest_ratio(run: _Run, claim_id: str, n: int, r: int) -> Measured:
-    b = optimal_base_schedule(r * n)
-    report = run.sweep(acceleration_ratio, make_exponential_schedule, (n, b),
-                       rth_largest_completed(r))
-    return closed_form(claim_id, n=n, r=r), report.limit_sup, _label(n=n, r=r, b=b)
 
 
 def _randomized_ratio(run: _Run, claim_id: str, n: int, b: float) -> Measured:
@@ -298,20 +285,9 @@ def _fig1_ratio_edge(run: _Run, claim_id: str, n: int) -> Measured:
     return 0.6, figure1_curve(n)[0][4], _label(n=n)
 
 
-def _rr_worst(run: _Run, claim_id: str, n: int, b: float) -> Measured:
-    report = run.sweep(acceleration_ratio, make_geometric_rr_schedule, (n, b),
-                       aggregate_interruptible())
-    return closed_form(claim_id, n=n, b=b), report.finite_sup, _label(n=n, b=b)
-
-
 def _rr_asymptotic(run: _Run, claim_id: str, n: int, b: float) -> Measured:
     measured = _rr_tail_ratio(n, b, phases=60)
     return closed_form(claim_id, n=n, b=b), measured, _label(n=n, b=b, phase=60)
-
-
-def _expanding_search_worst(run: _Run, claim_id: str, m: int, b: float) -> Measured:
-    report = run.sweep(competitive_ratio, make_geometric_search, (m, b), FIRST_VISIT)
-    return closed_form(claim_id, m=m, b=b), report.finite_sup, _label(m=m, b=b)
 
 
 def _expanding_search_asymptotic(
@@ -344,18 +320,32 @@ def _expanding_turn_ceiling(run: _Run, claim_id: str, m: int, b: float) -> Measu
 
 _BASES = (1.5, 2.0)
 
+_PROB_SEARCH = _Sweep(
+    "m p", "probabilistic_competitive_ratio", "make_exponential_search", "m b",
+    lambda m, p: DetectionModel(p, DirectionRule.OUTWARD_ONLY), "finite_sup",
+    base=lambda m, p: tuned_search_base(m, p), label_base=False)
+
 _ROWS: tuple[_Row, ...] = (
     _Row("search-ratio-printed", EQUAL, 1e-6, ((2,), (3,)),
-         _search_ratio_printed, informational=True),
+         _Sweep("m", "competitive_ratio", "make_exponential_search", "m b",
+                lambda m: FIRST_VISIT, "limit_sup",
+                base=lambda m: optimal_base_search(m)),
+         informational=True),
     _Row("search-ratio-base", EQUAL, 1e-6, ((2, 3.0),),
-         _search_ratio_base, informational=True),
+         _Sweep("m b", "competitive_ratio", "make_exponential_search", "m b",
+                lambda m, b: FIRST_VISIT, "limit_sup"),
+         informational=True),
     _Row("sched-ratio-optimal", EQUAL, 1e-6, tuple((n,) for n in range(1, 9)),
-         _sched_ratio_optimal),
-    _Row("sched-ratio-base", EQUAL, 1e-6, ((1, 2.0), (2, 2.0)), _sched_ratio_base),
+         _Sweep("n", "acceleration_ratio", "make_exponential_schedule", "n b",
+                lambda n: longest_completed(), "limit_sup",
+                base=lambda n: optimal_base_schedule(n))),
+    _Row("sched-ratio-base", EQUAL, 1e-6, ((1, 2.0), (2, 2.0)),
+         _Sweep("n b", "acceleration_ratio", "make_exponential_schedule", "n b",
+                lambda n, b: longest_completed(), "limit_sup")),
     _Row("prob-search-lower", AT_LEAST, 1e-9,
-         tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _prob_search),
+         tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _PROB_SEARCH),
     _Row("prob-search-upper", AT_MOST, 1e-9,
-         tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _prob_search),
+         tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _PROB_SEARCH),
     _Row("prob-sched-lower", AT_LEAST, 1e-9,
          tuple(product((1, 2, 4), (0.3, 0.7))), _prob_sched),
     _Row("prob-sched-upper", AT_MOST, 1e-9,
@@ -365,16 +355,23 @@ _ROWS: tuple[_Row, ...] = (
     _Row("fault-search-upper", AT_MOST, 1e-9,
          tuple(product((2, 3, 5), (1, 2, 3, 4))), _fault_search),
     _Row("nm-search-upper", AT_MOST, 1e-9, ((2, 2), (10, 4)),
-         _nm_search_upper, informational=True),
+         _Sweep("m r", "competitive_ratio", "make_nm_search", "m b r",
+                lambda m, r: rth_visit(r), "limit_sup",
+                base=lambda m, r: optimal_base_search(m)),
+         informational=True),
     _Row("nm-vs-exponential", AT_MOST, 0.0, ((10, 4),), _nm_vs_exponential),
     _Row("nm-vs-exponential-small", AT_MOST, 0.0, ((2, 4),),
          _nm_vs_exponential, informational=True),
-    _Row("pseudo-repeat-ratio", EQUAL, 1e-6,
-         tuple(product((1, 2, 4), (2, 3))), _pseudo_repeat_ratio),
+    _Row("pseudo-repeat-ratio", EQUAL, 1e-6, tuple(product((1, 2, 4), (2, 3))),
+         _Sweep("n r", "acceleration_ratio", "make_pseudo_exponential_schedule",
+                "n b r", lambda n, r: r_times_completed(r), "limit_sup",
+                base=lambda n, r: optimal_base_schedule(n))),
     _Row("pseudo-vs-exponential", AT_MOST, 0.0, ((1, 2),),
          _pseudo_vs_exponential, informational=True),
     _Row("rth-largest-ratio", EQUAL, 1e-6, tuple(product((1, 2), (2, 3))),
-         _rth_largest_ratio),
+         _Sweep("n r", "acceleration_ratio", "make_exponential_schedule", "n b",
+                lambda n, r: rth_largest_completed(r), "limit_sup",
+                base=lambda n, r: optimal_base_schedule(r * n))),
     _Row("randomized-ratio", EQUAL, 0.02, ((1, 2.0), (2, 1.5)),
          _randomized_ratio, relative=True),
     _Row("randomized-ratio-asymptote", AT_MOST, 1e-9, ((80,),),
@@ -382,11 +379,14 @@ _ROWS: tuple[_Row, ...] = (
     _Row("fig1-ratio", AT_MOST, 1e-9, ((80,),), _fig1_ratio),
     _Row("fig1-ratio-edge", AT_MOST, 1e-9, ((1,),), _fig1_ratio_edge,
          informational=True),
-    _Row("rr-worst", EQUAL, 1e-6, tuple(product((1, 2, 3), _BASES)), _rr_worst),
+    _Row("rr-worst", EQUAL, 1e-6, tuple(product((1, 2, 3), _BASES)),
+         _Sweep("n b", "acceleration_ratio", "make_geometric_rr_schedule", "n b",
+                lambda n, b: aggregate_interruptible(), "finite_sup")),
     _Row("rr-asymptotic", EQUAL, 1e-6, tuple(product((1, 2, 3), _BASES)),
          _rr_asymptotic),
     _Row("expanding-search-worst", EQUAL, 1e-6, tuple(product((2, 3), _BASES)),
-         _expanding_search_worst),
+         _Sweep("m b", "competitive_ratio", "make_geometric_search", "m b",
+                lambda m, b: FIRST_VISIT, "finite_sup")),
     _Row("expanding-search-asymptotic", EQUAL, 1e-6,
          tuple(product((2, 3), _BASES)), _expanding_search_asymptotic),
     _Row("preemption-ceiling", AT_MOST, 1e-9, tuple(product((1, 2, 3), _BASES)),
@@ -429,8 +429,7 @@ def run_claim_catalog(config: ClaimConfig = ClaimConfig()) -> list[ClaimCheck]:
         for point in row.points:
             paper, measured, params = row.measure(run, row.claim_id, *point)
             if paper is None or measured is None:  # an evaluator found no limit
-                raise ValueError(f"claim {row.claim_id} at {params} has no value "
-                                 f"within horizon {run.horizon}")
+                raise _no_value(row.claim_id, params, run.horizon)
             tolerance = row.tolerance * paper if row.relative else row.tolerance
             checks.append(check_claim(
                 row.claim_id, paper, measured, row.relation, tolerance,

@@ -86,3 +86,31 @@ def test_pseudo_rows_share_the_pseudo_sweep(monkeypatch):
     checks = run_claim_catalog(ClaimConfig(subset="pseudo-"))
     assert len(checks) == 7
     assert len(calls) == 7
+
+
+def test_wrappers_on_the_module_see_every_sweep(monkeypatch):
+    # A row that captured an evaluator at import would bypass a wrapper
+    # set on the module, and perfbench's claims.* counts with it.
+    names = ("competitive_ratio", "acceleration_ratio", "probabilistic_competitive_ratio")
+    calls = {name: _count_calls(monkeypatch, name) for name in names}
+    run_claim_catalog(ClaimConfig(trials=20_000))
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "competitive_ratio": 24, "acceleration_ratio": 25,
+        "probabilistic_competitive_ratio": 9}
+
+
+def _sweep_rows(read):
+    return {row.claim_id for row in claims._ROWS
+            if isinstance(row.measure, claims._Sweep) and row.measure.read == read}
+
+
+def test_the_declared_sweep_rows_and_the_field_each_reads():
+    # limit_sup is the family's closed form attached to the report, so
+    # these rows compare a closed form with the printed value; the
+    # finite_sup rows compare the sweep's own supremum.
+    assert _sweep_rows("limit_sup") == {
+        "search-ratio-printed", "search-ratio-base", "sched-ratio-optimal",
+        "sched-ratio-base", "nm-search-upper", "pseudo-repeat-ratio",
+        "rth-largest-ratio"}
+    assert _sweep_rows("finite_sup") == {
+        "prob-search-lower", "prob-search-upper", "rr-worst", "expanding-search-worst"}

@@ -175,6 +175,9 @@ _TRIALS_PAST_INDEX = (f"error: trials must be <= {sys.maxsize // 8}, the doubles
                       f"vector may hold, got {2**63}\n")
 _HORIZON_PAST_TRAJECTORY = (f"error: horizon of {2**63} excursions requested, more "
                             f"than the {core.MAX_TRAJECTORY} a trajectory may hold\n")
+# A sweep that scores nothing within the horizon names its row and the
+# report's note, whichever report field the row reads.
+_NO_CREDIT = "some problem never accumulates credit within the horizon"
 
 
 @pytest.mark.parametrize(
@@ -198,10 +201,13 @@ _HORIZON_PAST_TRAJECTORY = (f"error: horizon of {2**63} excursions requested, mo
          _HORIZON_PAST_TRAJECTORY),
         (["claims", "--horizon", "3"],
          "error: claim sched-ratio-optimal at n=3 b=1.33333 has no value within "
-         "horizon 3\n"),
+         f"horizon 3: {_NO_CREDIT}\n"),
         (["claims", "--subset", "pseudo-repeat-ratio", "--horizon", "12"],
          "error: claim pseudo-repeat-ratio at n=4 r=3 b=1.25 has no value within "
-         "horizon 12\n"),
+         f"horizon 12: {_NO_CREDIT}\n"),
+        (["claims", "--subset", "rr-worst", "--horizon", "2"],
+         "error: claim rr-worst at n=2 b=1.5 has no value within horizon 2: "
+         f"{_NO_CREDIT}\n"),
         (["rand-sched", "--n", "3880", "--b", "1.2", "--trials", "10"],
          "error: grid point (k=3884, delta=0.5) query time overflowed float range "
          "at base 1.2; reduce the base\n"),
@@ -209,7 +215,7 @@ _HORIZON_PAST_TRAJECTORY = (f"error: horizon of {2**63} excursions requested, mo
     ids=["opt-base", "curve-fig1", "prob-search", "claims-trials",
          "claims-randomized-trials", "rand-sched-trials", "claims-horizon",
          "prob-search-horizon", "claims-short-horizon", "claims-pseudo-short-horizon",
-         "rand-sched-query-time"],
+         "claims-finite-sup-short-horizon", "rand-sched-query-time"],
 )
 def test_range_errors_name_the_input(argv, message, capsys):
     """Arithmetic past float range inside a formula is reported as the

@@ -6,7 +6,9 @@ table's lookup and a few known readers, the trajectory cap only by the
 trajectories' base and the detection sweep's guard, np.power is called only in the
 Monte Carlo kernel and np.float_power only where plan powers are taken,
 only the CLI's writer opens a file for writing and nothing truncates one
-on open, and importing the package loads no thread pool."""
+on open, the claim catalog names a sweep evaluator only in its sweep-row
+declarations and three measurements, and importing the package loads no
+thread pool."""
 
 import ast
 import os
@@ -276,6 +278,58 @@ def test_the_open_rule_catches_truncating_and_stray_writers():
         "cli.py:2 opens a file for writing in save",
         "cli.py:3 opens a file for writing in save"]
     assert list(_open_offenders('def load(p):\n    return open(p).read()\n', "x.py")) == []
+
+
+# The claim catalog declares its sweep rows as _Sweep data, naming each
+# evaluator by its global so the lookup happens at call time; besides
+# them only these measurements, which are not one row's sweep, call one.
+SWEEP_EVALUATORS = {"competitive_ratio", "acceleration_ratio",
+                    "probabilistic_competitive_ratio"}
+SWEEP_CALLERS = {"_exp_fault_limit", "_nm_best_limit", "_pseudo_vs_exponential"}
+
+
+def _stray_evaluators(source):
+    """(definition, line, evaluator) of each sweep evaluator named, as a
+    name or a string, outside the allowed callers and a _Sweep(...)
+    declaration's strings and lambda bodies (a bare name there captures
+    the function at import); imports bind names without reading them."""
+    tree = ast.parse(source)
+    declared = {id(inner) for call in ast.walk(tree)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "_Sweep"
+                for node in ast.walk(call) if isinstance(node, (ast.Constant, ast.Lambda))
+                for inner in ast.walk(node)}
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        if name in SWEEP_CALLERS:
+            continue
+        for node in ast.walk(top):
+            named = (node.id if isinstance(node, ast.Name)
+                     else node.value if isinstance(node, ast.Constant) else None)
+            if named in SWEEP_EVALUATORS and id(node) not in declared:
+                yield name, node.lineno, named
+
+
+def test_claims_names_a_sweep_evaluator_only_where_declared_or_allowed():
+    offenders = [f"claims.py:{line} names {evaluator} in {name}"
+                 for name, line, evaluator in _stray_evaluators(
+                     (SRC / "claims.py").read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+def test_the_sweep_rule_catches_stray_calls_and_captured_evaluators():
+    stray = ("def _rr_worst(run, claim_id, n, b):\n"
+             "    return run.sweep(acceleration_ratio, make_geometric_rr_schedule,\n"
+             "                     (n, b), aggregate_interruptible())\n")
+    assert list(_stray_evaluators(stray)) == [("_rr_worst", 2, "acceleration_ratio")]
+    by_name = 'def _rr_worst(run):\n    return globals()["acceleration_ratio"]\n'
+    assert list(_stray_evaluators(by_name)) == [("_rr_worst", 2, "acceleration_ratio")]
+    declared = ('_ROWS = (_Row("rr-worst", _Sweep("n b", "{}", "make_rr", "n b",\n'
+                '    lambda n, b: aggregate_interruptible(), "finite_sup")),)\n')
+    assert list(_stray_evaluators(declared.format("acceleration_ratio"))) == []
+    captured = declared.replace('"{}"', "acceleration_ratio")
+    assert list(_stray_evaluators(captured)) == [("<module>", 1, "acceleration_ratio")]
+    allowed = "def _nm_best_limit(m, r, horizon):\n    return competitive_ratio(m, r)\n"
+    assert list(_stray_evaluators(allowed)) == []
 
 
 def test_importing_the_package_loads_no_thread_pool():
