@@ -58,6 +58,7 @@ from .sched_eval import (
     contract_count,
     longest_completed,
     preemption_count,
+    probabilistic_completed,
     r_times_completed,
     rth_largest_completed,
 )
@@ -145,6 +146,7 @@ __all__ = [
     "preemption_bound",
     "preemption_count",
     "probabilistic_competitive_ratio",
+    "probabilistic_completed",
     "r_times_completed",
     "rth_largest_completed",
     "rth_visit",

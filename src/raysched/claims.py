@@ -42,6 +42,7 @@ from .sched_eval import (
     contract_count,
     longest_completed,
     preemption_count,
+    probabilistic_completed,
     r_times_completed,
     rth_largest_completed,
 )
@@ -49,7 +50,6 @@ from .stochastic import (
     DetectionModel,
     DirectionRule,
     RandomizedScheduleParams,
-    expected_acc_ratio_mc_contracts,
     mc_randomized_schedule_ratio,
     probabilistic_competitive_ratio,
     standard_t_grid,
@@ -236,12 +236,6 @@ def _worst_ceiling(claim_id: str, count: Callable[[float], int], query: str,
 # Their bodies call through this module's globals, as _Sweep does.
 
 
-def _prob_sched(run: _Run, claim_id: str, n: int, p: float) -> Measured:
-    b = optimal_base_schedule(n)
-    report = run.once(expected_acc_ratio_mc_contracts, n, p, b, run.horizon)
-    return closed_form(claim_id, n=n, p=p), report.finite_sup, _label(n=n, p=p)
-
-
 def _fault_search(run: _Run, claim_id: str, m: int, r: int) -> Measured:
     b, measured = run.once(_exp_fault_limit, m, r, run.horizon)
     return closed_form(claim_id, m=m, r=r), measured, _label(m=m, r=r, b=b)
@@ -325,6 +319,11 @@ _PROB_SEARCH = _Sweep(
     lambda m, p: DetectionModel(p, DirectionRule.OUTWARD_ONLY), "finite_sup",
     base=lambda m, p: tuned_search_base(m, p), label_base=False)
 
+_PROB_SCHED = _Sweep(
+    "n p", "acceleration_ratio", "make_exponential_schedule", "n b",
+    lambda n, p: probabilistic_completed(p), "finite_sup",
+    base=lambda n, p: optimal_base_schedule(n), label_base=False)
+
 _ROWS: tuple[_Row, ...] = (
     _Row("search-ratio-printed", EQUAL, 1e-6, ((2,), (3,)),
          _Sweep("m", "competitive_ratio", "make_exponential_search", "m b",
@@ -347,9 +346,9 @@ _ROWS: tuple[_Row, ...] = (
     _Row("prob-search-upper", AT_MOST, 1e-9,
          tuple(product((2, 3, 5), (0.3, 0.5, 0.8))), _PROB_SEARCH),
     _Row("prob-sched-lower", AT_LEAST, 1e-9,
-         tuple(product((1, 2, 4), (0.3, 0.7))), _prob_sched),
+         tuple(product((1, 2, 4), (0.3, 0.7))), _PROB_SCHED),
     _Row("prob-sched-upper", AT_MOST, 1e-9,
-         tuple(product((1, 2, 4), (0.3, 0.7))), _prob_sched),
+         tuple(product((1, 2, 4), (0.3, 0.7))), _PROB_SCHED),
     _Row("fault-search-lower", AT_LEAST, 1e-9,
          tuple(product((2, 3, 5), (1, 2, 3, 4))), _fault_search),
     _Row("fault-search-upper", AT_MOST, 1e-9,

@@ -207,9 +207,11 @@ class ClosedForm:
     its catalog rows evaluate it.  Shape: with asymptote None, candidate
     ratios rise toward the value, so the supremum is the asymptote (a
     printed entry is one value); otherwise the supremum sits at the first
-    phase and later candidates fall toward the asymptote."""
+    phase and later candidates fall toward the asymptote.  A formula that
+    is None at a point knows no supremum there (an early candidate can
+    exceed the asymptote, which still gives the tail)."""
 
-    formula: Callable[..., float]
+    formula: Callable[..., Optional[float]]
     derivation: Optional[str] = None
     domain: Callable[..., bool] = lambda *args: True
     asymptote: Optional[Callable[..., float]] = None
@@ -249,6 +251,12 @@ def _two_way_detection_limit(m: int, b: float, _: int, p: float) -> float:
 
 def _converges(m: int, b: float, _: int, p: float) -> bool:
     return (1.0 - p) * b**m < 1.0
+
+
+def _exp_expected_credit_limit(n: int, b: float, _: int, p: float) -> float:
+    if p * (b - 1.0) == 0:  # the denominator
+        raise ValueError(f"p * (b - 1) underflows to 0 at p = {p}, b = {b}")
+    return b ** (n + 1) * (1.0 - (1.0 - p) * b**-n) / (p * (b - 1.0))
 
 
 _TABLE: dict[object, ClosedForm] = {
@@ -309,6 +317,11 @@ _TABLE: dict[object, ClosedForm] = {
     ("exponential", "longest-completed"): ClosedForm(
         lambda n, b, _, r: b ** (n + 1) / (b - 1.0),
         "query at run k's finish over run k-n's length: (b^(k+1)-1)/((b-1)b^(k-n))"),
+    ("exponential", "probabilistic-completed"): ClosedForm(
+        lambda n, b, _, p: _exp_expected_credit_limit(n, b, _, p) if p == 1.0 else None,
+        "run k's finish over run k-n's problem's steady credit p b^(k-n)/(1-(1-p)b^-n); "
+        "an early query can exceed it unless every run pays (p = 1)",
+        asymptote=_exp_expected_credit_limit),
     ("exponential", "rth-largest-completed"): ClosedForm(
         lambda n, b, _, r: b ** (r * n + 1) / (b - 1.0),
         "as longest-completed, over the problem's r-th largest run, k-r*n"),
@@ -345,14 +358,15 @@ def closed_form_ids() -> list[str]:
 
 def family_limits(
     plan: Union[SearchPlan, SchedulePlan], semantics: str, size: int, x: float
-) -> Optional[tuple[float, float]]:
+) -> Optional[tuple[Optional[float], float]]:
     """(limit_sup, asymptotic) of a tagged plan's family from the entry
     keyed by (tag kind, semantics), or None where there is none, the tag
-    has no base or the point is outside the entry's domain.  A derived
-    entry is called as (size, base, redundancy, x): the plan's rays or
-    problems, the tag's base and redundancy (sweeps per excursion or
-    repeats per length), and the semantics' parameter (required passes,
-    rank or repeats, or the detection probability)."""
+    has no base or the point is outside the entry's domain; limit_sup is
+    None where the entry knows only the asymptote.  A derived entry is
+    called as (size, base, redundancy, x): the plan's rays or problems,
+    the tag's base and redundancy (sweeps per excursion or repeats per
+    length), and the semantics' parameter (required passes, rank or
+    repeats, or the detection or payoff probability)."""
     tag = plan.tag
     entry = _TABLE.get((tag.kind, semantics))
     if entry is None or tag.base is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,7 @@ class SemanticsKind(Enum):
     R_TIMES_COMPLETED = "r-times-completed"
     RTH_LARGEST_COMPLETED = "rth-largest-completed"
     AGGREGATE_INTERRUPTIBLE = "aggregate-interruptible"
+    PROBABILISTIC_COMPLETED = "probabilistic-completed"
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,13 @@ class ScheduleSemantics:
 
     kind: SemanticsKind
     r: int = 1
+    p: float = 1.0
 
     def __post_init__(self) -> None:
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
+        if not 0 < self.p <= 1:
+            raise ValueError(f"probability must be in (0, 1], got {self.p}")
 
 
 def longest_completed() -> ScheduleSemantics:
@@ -61,6 +66,13 @@ def rth_largest_completed(r: int) -> ScheduleSemantics:
 def aggregate_interruptible() -> ScheduleSemantics:
     """Credit: total time dedicated to the problem (resumable work)."""
     return ScheduleSemantics(SemanticsKind.AGGREGATE_INTERRUPTIBLE)
+
+
+def probabilistic_completed(p: float) -> ScheduleSemantics:
+    """Credit: the expected payoff when each completed run pays off only
+    with probability p, the series over the problem's runs, longest
+    first, of p(1-p)^(j-1) times the length."""
+    return ScheduleSemantics(SemanticsKind.PROBABILISTIC_COMPLETED, p=p)
 
 
 def _run_ordinals(problem: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -92,6 +104,30 @@ def _rth_largest(problem: np.ndarray, length: np.ndarray, n: int, r: int) -> lis
     return events
 
 
+def _expected_credit(problem: np.ndarray, length: np.ndarray, n: int,
+                     p: float) -> np.ndarray:
+    """Each job's problem's expected credit once the job has completed:
+    its runs folded from the shortest as c = p * length + (1 - p) * c.
+    A run shorter than its problem's longest enters at its rank and the
+    fold is redone from there; the other runs only extend the fold."""
+    q, events = 1.0 - p, np.empty(len(length))
+    for jobs in filter(len, (np.flatnonzero(problem == i) for i in range(n))):
+        column = length[jobs]
+        falls = np.flatnonzero(column < np.maximum.accumulate(column)).tolist()
+        bounds, column = [0, *falls, len(column)], column.tolist()
+        lengths, folds = [], [0.0]  # folds[k]: the fold of the k shortest
+        for start, end in zip(bounds, bounds[1:]):
+            rank = bisect_right(lengths, column[start])
+            lengths[rank:] = [column[start], *lengths[rank:], *column[start + 1:end]]
+            del folds[rank + 1:]
+            c = folds[rank]
+            for x in lengths[rank:]:
+                c = p * x + q * c
+                folds.append(c)
+            events[jobs[start:end]] = folds[start - end:]
+    return events
+
+
 def _credit_table(problem: np.ndarray, length: np.ndarray, n: int,
                   semantics: ScheduleSemantics) -> np.ndarray:
     """Every problem's credit after each prefix of the jobs, problem-major:
@@ -99,15 +135,18 @@ def _credit_table(problem: np.ndarray, length: np.ndarray, n: int,
     row of an n x (jobs + 1) table and a running scan goes along each
     row, one contiguous row per problem: a sum for aggregate credit, a
     max for the rest.  The event is the job's length, except under
-    r-times credit (the length only on the r-th run of its length) and
+    r-times credit (the length only on the r-th run of its length),
     r-th largest credit (the problem's r-th largest length so far, which
-    never decreases)."""
+    never decreases) and probabilistic credit (the problem's expected
+    credit so far, which a new run never lowers)."""
     kind = semantics.kind
     events = length
     if kind is SemanticsKind.R_TIMES_COMPLETED:
         events = np.where(_run_ordinals(problem, length) == semantics.r, length, 0.0)
     elif kind is SemanticsKind.RTH_LARGEST_COMPLETED:
         events = _rth_largest(problem, length, n, semantics.r)
+    elif kind is SemanticsKind.PROBABILISTIC_COMPLETED:
+        events = _expected_credit(problem, length, n, semantics.p)
     table = np.zeros((n, len(length) + 1))
     table[problem, np.arange(1, len(length) + 1)] = events
     if kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
@@ -154,7 +193,9 @@ def acceleration_ratio(
         )
     worst = int(seq.argmax())  # the first, as a strict > sweep keeps it
     best, witness = float(seq[worst]), float(finish[scored][worst])
-    limits = family_limits(plan, semantics.kind.value, n, semantics.r)
+    kind = semantics.kind
+    x = semantics.p if kind is SemanticsKind.PROBABILISTIC_COMPLETED else semantics.r
+    limits = family_limits(plan, kind.value, n, x)
     if limits is None:
         limit_sup = None
         asymptotic = float(seq[-max(1, len(seq) // 4):].max())

@@ -1,5 +1,6 @@
 """Stochastic evaluation: probabilistic detection, expected-credit
-scheduling, and the randomized schedule's measured acceleration ratio.
+scheduling (acceleration_ratio under sched_eval's probabilistic credit)
+and the randomized schedule's measured acceleration ratio.
 
 Series evaluators are exact up to an explicit geometric tail cutoff.
 Monte Carlo estimators draw from Philox, a counter-based generator,
@@ -28,9 +29,9 @@ import numpy as np
 
 from .core import DEFAULT_HORIZON, MAX_TRAJECTORY, McEstimate, RatioReport
 from .core import SchedulePlan, SearchPlan
-from .core import ScheduleTrajectory, SearchTrajectory
+from .core import SearchTrajectory
 from .numopt import beta_r_closed_form, family_limits, lemma_root
-from .sched_eval import SemanticsKind
+from .sched_eval import acceleration_ratio, probabilistic_completed
 from .search_eval import frontier_passes, visit_cost_stream
 from .strategies import make_exponential_schedule
 
@@ -220,71 +221,13 @@ def expected_acc_ratio_mc_contracts(
     b: float,
     horizon: int = DEFAULT_HORIZON,
 ) -> RatioReport:
-    """Worst ratio of query time to least expected credit when each
-    completed run pays off only with probability p.
-
-    Runs follow the exponential round-robin schedule.  A problem's
-    expected credit at time t is the series over its completed runs,
-    longest first, of p(1-p)^(j-1) times the length; the sweep queries
-    just after each completion (strict credit), skipping times where
-    some problem has no completed run yet.  The worst case can sit at
-    an early completion and exceed the steady-state value, which is
-    reported as the asymptotic."""
-    if n < 1:
-        raise ValueError(f"problem count must be >= 1, got {n}")
-    if not 0 < p <= 1:
-        raise ValueError(f"probability must be in (0, 1], got {p}")
-    if not b > 1:
-        raise ValueError(f"base must be > 1, got {b}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    plan = make_exponential_schedule(n, b)
-    trajectory = ScheduleTrajectory(plan)
-    trajectory.reach(horizon)
-    if horizon <= n:  # some problem has not completed a run at any query
-        return RatioReport(
-            finite_sup=math.inf,
-            witness=None,
-            horizon=horizon,
-            note="some problem never completes a run within the horizon",
-        )
-    if p * (b - 1.0) == 0:  # the asymptotic's denominator
-        raise ValueError(f"p * (b - 1) underflows to 0 at p = {p}, b = {b}")
-    q = 1.0 - p
-    # Job j runs problem j % n.  Lengths grow along the schedule, so each
-    # new completion is its problem's largest and the credit series
-    # updates in one step: credit[j] is job j's problem's credit after it,
-    # p * length + q * (its credit before), folded in a plain loop (a
-    # lambda call per job would double its cost).
-    credit = np.empty(horizon)
-    for i in range(n):
-        c, series = 0.0, []
-        for x in trajectory.length[i:horizon:n].tolist():
-            c = p * x + q * c
-            series.append(c)
-        credit[i::n] = series
-    # Query j >= n finds every problem's credit after its last job, the
-    # previous n events, whose least is taken in place over n - 1 shifted
-    # slices; the first maximum is the witness.  A subnormal p overflows
-    # a ratio to inf, as the scalar division did.
-    least = credit[:horizon - n].copy()
-    for shift in range(1, n):
-        np.minimum(least, credit[shift:horizon - n + shift], out=least)
-    with np.errstate(over="ignore"):
-        ratios = trajectory.finish[n:horizon] / least
-    j = int(np.argmax(ratios))
-    best, witness = float(ratios[j]), float(trajectory.finish[n + j])
-    asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
-    longest = SemanticsKind.LONGEST_COMPLETED.value
-    limit_sup = family_limits(plan, longest, n, 1)[0] if p == 1.0 else None
-    return RatioReport(
-        finite_sup=best,
-        witness=witness,
-        horizon=horizon,
-        limit_sup=limit_sup,
-        asymptotic=asymptotic,
-        convergence_gap=abs(best - asymptotic),
-    )
+    """Worst ratio of query time to least expected credit on the
+    exponential round-robin when each completed run pays off only with
+    probability p: acceleration_ratio under probabilistic credit.  The
+    worst case can sit at an early completion and exceed the
+    steady-state value, which is reported as the asymptotic."""
+    return acceleration_ratio(make_exponential_schedule(n, b), probabilistic_completed(p),
+                              horizon)
 
 
 @dataclass(frozen=True)

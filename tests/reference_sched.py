@@ -9,9 +9,13 @@ evaluator did before it read ScheduleTrajectory columns and its credit
 table: the same float operations in the same order, so reports and
 errors must agree with the package bit for bit.
 
-expected_contracts is expected_acc_ratio_mc_contracts as a per-job
-loop, before the package ran the credit recurrence once per problem's
-column and took each query's least credit over a window of events.
+ProblemState computes a problem's credit at each query from its
+completion record, with no running maximum over earlier queries, so the
+sweep also pins that the package's credit events never decrease;
+probabilistic credit refolds the sorted lengths from the shortest on
+every read.  The expected-credit sweep
+(stochastic.expected_acc_ratio_mc_contracts) is this acceleration_ratio
+on the exponential round-robin under probabilistic credit.
 
 jobs_before and contract_count are hand-written walks to a time, the
 oracles for the package's one walk (core.jobs_before) and the counts
@@ -35,7 +39,6 @@ from typing import Optional
 from raysched.core import Job, RatioReport, SchedulePlan
 from raysched.numopt import family_limits
 from raysched.sched_eval import ScheduleSemantics, SemanticsKind
-from raysched.strategies import make_exponential_schedule
 
 
 def jobs(plan: SchedulePlan, count: int) -> list[Job]:
@@ -79,6 +82,11 @@ class ProblemState:
                 if count >= semantics.r
             ]
             return max(eligible, default=0.0)
+        if kind is SemanticsKind.PROBABILISTIC_COMPLETED:
+            c = 0.0
+            for y in self.sorted_lengths:
+                c = semantics.p * y + (1.0 - semantics.p) * c
+            return c
         if len(self.sorted_lengths) < semantics.r:
             return 0.0
         return self.sorted_lengths[-semantics.r]
@@ -183,7 +191,9 @@ def acceleration_ratio(
             horizon=horizon,
             note="some problem never accumulates credit within the horizon",
         )
-    limits = family_limits(plan, semantics.kind.value, n, semantics.r)
+    probabilistic = semantics.kind is SemanticsKind.PROBABILISTIC_COMPLETED
+    limits = family_limits(plan, semantics.kind.value, n,
+                           semantics.p if probabilistic else semantics.r)
     if limits is None:
         limit_sup = None
         asymptotic = max(seq[-max(1, len(seq) // 4):])
@@ -205,45 +215,4 @@ def acceleration_ratio(
         asymptotic=asymptotic,
         convergence_gap=convergence_gap,
         note=note,
-    )
-
-
-def expected_contracts(n: int, p: float, b: float, horizon: int) -> RatioReport:
-    """The expected-credit sweep over the exponential round-robin, one
-    job at a time: query each completion with the least expected credit
-    over the problems (once all have completed a run), then update the
-    completing problem's credit by c = p * length + q * c."""
-    plan = make_exponential_schedule(n, b)
-    q = 1.0 - p
-    expected_credit = [0.0] * n
-    best = -math.inf
-    witness = None
-    for j, job in enumerate(jobs(plan, horizon)):
-        if j >= n:
-            credit = min(expected_credit)
-            ratio = job.finish / credit
-            if ratio > best:
-                best = ratio
-                witness = job.finish
-        expected_credit[job.problem] = p * job.length + q * expected_credit[job.problem]
-    if witness is None:
-        return RatioReport(
-            finite_sup=math.inf,
-            witness=None,
-            horizon=horizon,
-            note="some problem never completes a run within the horizon",
-        )
-    if p * (b - 1.0) == 0:  # the package names the input that zeroes the denominator
-        raise ValueError(f"p * (b - 1) underflows to 0 at p = {p}, b = {b}")
-    asymptotic = b ** (n + 1) * (1.0 - q * b**-n) / (p * (b - 1.0))
-    limit_sup = None
-    if p == 1.0:
-        limit_sup, _ = family_limits(plan, SemanticsKind.LONGEST_COMPLETED.value, n, 1)
-    return RatioReport(
-        finite_sup=best,
-        witness=witness,
-        horizon=horizon,
-        limit_sup=limit_sup,
-        asymptotic=asymptotic,
-        convergence_gap=abs(best - asymptotic),
     )

@@ -95,7 +95,7 @@ def test_wrappers_on_the_module_see_every_sweep(monkeypatch):
     calls = {name: _count_calls(monkeypatch, name) for name in names}
     run_claim_catalog(ClaimConfig(trials=20_000))
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "competitive_ratio": 24, "acceleration_ratio": 25,
+        "competitive_ratio": 24, "acceleration_ratio": 31,
         "probabilistic_competitive_ratio": 9}
 
 
@@ -113,4 +113,5 @@ def test_the_declared_sweep_rows_and_the_field_each_reads():
         "sched-ratio-base", "nm-search-upper", "pseudo-repeat-ratio",
         "rth-largest-ratio"}
     assert _sweep_rows("finite_sup") == {
-        "prob-search-lower", "prob-search-upper", "rr-worst", "expanding-search-worst"}
+        "prob-search-lower", "prob-search-upper", "prob-sched-lower", "prob-sched-upper",
+        "rr-worst", "expanding-search-worst"}

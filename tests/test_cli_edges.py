@@ -208,6 +208,9 @@ _NO_CREDIT = "some problem never accumulates credit within the horizon"
         (["claims", "--subset", "rr-worst", "--horizon", "2"],
          "error: claim rr-worst at n=2 b=1.5 has no value within horizon 2: "
          f"{_NO_CREDIT}\n"),
+        (["claims", "--subset", "prob-sched", "--horizon", "2"],
+         "error: claim prob-sched-lower at n=2 p=0.3 has no value within horizon 2: "
+         f"{_NO_CREDIT}\n"),
         (["rand-sched", "--n", "3880", "--b", "1.2", "--trials", "10"],
          "error: grid point (k=3884, delta=0.5) query time overflowed float range "
          "at base 1.2; reduce the base\n"),
@@ -215,7 +218,8 @@ _NO_CREDIT = "some problem never accumulates credit within the horizon"
     ids=["opt-base", "curve-fig1", "prob-search", "claims-trials",
          "claims-randomized-trials", "rand-sched-trials", "claims-horizon",
          "prob-search-horizon", "claims-short-horizon", "claims-pseudo-short-horizon",
-         "claims-finite-sup-short-horizon", "rand-sched-query-time"],
+         "claims-finite-sup-short-horizon", "claims-prob-sched-short-horizon",
+         "rand-sched-query-time"],
 )
 def test_range_errors_name_the_input(argv, message, capsys):
     """Arithmetic past float range inside a formula is reported as the

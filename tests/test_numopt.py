@@ -22,6 +22,7 @@ from raysched.sched_eval import (
     acceleration_ratio,
     aggregate_interruptible,
     longest_completed,
+    probabilistic_completed,
     r_times_completed,
     rth_largest_completed,
 )
@@ -169,6 +170,12 @@ _DEEP_SWEEPS = [
      _credit(aggregate_interruptible())),
     (("geometric-rr", "aggregate-interruptible"), make_geometric_rr_schedule(3, 1.5), 1,
      _credit(aggregate_interruptible())),
+    (("exponential", "probabilistic-completed"), make_exponential_schedule(2, 1.5), 1.0,
+     _credit(probabilistic_completed(1.0))),
+    (("exponential", "probabilistic-completed"), make_exponential_schedule(2, 1.5), 0.3,
+     _credit(probabilistic_completed(0.3))),
+    (("exponential", "probabilistic-completed"), make_exponential_schedule(3, 2.0), 0.7,
+     _credit(probabilistic_completed(0.7))),
 ]
 
 # The detection series stops at a survival weight of 1e-12, which leaves
@@ -212,7 +219,10 @@ class TestTable:
         value, asymptote = family_limits(plan, key[1], size, x)
         report = sweep(plan)
         assert (report.limit_sup, report.asymptotic) == (value, asymptote)
-        if _TABLE[key].asymptote is None:  # rising: the sweep nears the value from below
+        if key[1] == "probabilistic-completed":  # a supremum only when every run pays
+            longest, _ = family_limits(plan, "longest-completed", size, 1)
+            assert value == (longest if x == 1.0 else None)
+        elif _TABLE[key].asymptote is None:  # rising: the sweep nears the value from below
             assert asymptote == value
             assert value * (1.0 - DEEP_TOL) <= report.finite_sup <= value * (1.0 + 1e-15)
         else:  # first phase: the supremum is the value, the tail nears the asymptote

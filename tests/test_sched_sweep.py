@@ -1,10 +1,12 @@
 """acceleration_ratio against the scalar sweep in tests/reference_sched.py:
-reports equal field for field and errors equal in type and message, on
-factory plans, their per-index twins and custom plans that break every
-check a job must pass.  Walks to a time must stop on a clock that no
-longer advances, and a clock that overflows far inside the horizon must
-fail fast.  Only public names are used, so the module also runs against
-versions without the columnar trajectory.
+reports equal field for field and errors equal in type and message, under
+every credit rule, on factory plans, their per-index twins and custom
+plans that break every check a job must pass or whose lengths fall.
+Walks to a time must stop on a clock that no longer advances, a clock
+that overflows far inside the horizon must fail fast, and expected credit
+on a long plan whose lengths fall must not cost a refold per run.  Only
+public names are used, so the module also runs against versions without
+the columnar trajectory.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from raysched.sched_eval import (
     acceleration_ratio,
     aggregate_interruptible,
     longest_completed,
+    probabilistic_completed,
     r_times_completed,
     rth_largest_completed,
 )
@@ -115,6 +118,7 @@ SEMANTICS = st.one_of(
     st.just(aggregate_interruptible()),
     st.integers(1, 3).map(r_times_completed),
     st.integers(1, 3).map(rth_largest_completed),
+    st.floats(0.0, 1.0, exclude_min=True).map(probabilistic_completed),
 )
 
 
@@ -158,6 +162,10 @@ def any_plans(draw):
 @example(plan=make_exponential_schedule(3, 1.2), semantics=rth_largest_completed(2),
          horizon=2000)
 @example(plan=make_pseudo_exponential_schedule(1, 1.3, 2), semantics=rth_largest_completed(3),
+         horizon=3000)
+@example(plan=custom_plan(2, [(0, 3.0), (1, 1.0), (0, 1.0), (1, 2.0)]),
+         semantics=probabilistic_completed(0.3), horizon=40)
+@example(plan=make_exponential_schedule(4, 1.2), semantics=probabilistic_completed(0.6),
          horizon=3000)
 def test_acceleration_ratio_equals_the_scalar_sweep(plan, semantics, horizon):
     expected = _outcome(lambda: ref.acceleration_ratio(plan, semantics, horizon))
@@ -231,3 +239,21 @@ def test_clock_overflow_far_inside_the_horizon_fails_fast():
     """)
     assert cli.returncode == 2
     assert cli.stderr == "error: schedule clock overflowed at job 1748\n"
+
+
+def test_expected_credit_refolds_only_from_the_rank_of_a_fall():
+    # Each problem's lengths rise, and every tenth run falls just below
+    # the problem's longest.  Refolding every prefix after a fall is
+    # quadratic in the horizon: several seconds here.
+    done = _run_isolated("""
+        import time
+        from raysched import acceleration_ratio, make_custom_schedule
+        from raysched import probabilistic_completed
+
+        plan = make_custom_schedule(
+            2, lambda i: (i % 2, i - 1.5 if i % 20 >= 18 else i + 1.0))
+        start = time.perf_counter()
+        report = acceleration_ratio(plan, probabilistic_completed(0.3), 20_000)
+        print(report.witness is not None, time.perf_counter() - start < 2.0)
+    """)
+    assert done.stdout.splitlines() == ["True True"], done.stderr

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports another module's private
 names or reads an object's private attribute other than its own (on
 self or cls), every exported name has a reader, schedule jobs are read through
-one of the two walkers, a plan's family is read from its tag only by the
+one of the two walkers, a schedule trajectory is built only by the credit
+sweep and the round-robin tail walk, a plan's family is read from its tag only by the
 table's lookup and a few known readers, the trajectory cap only by the
 trajectories' base and the detection sweep's guard, np.power is called only in the
 Monte Carlo kernel and np.float_power only where plan powers are taken,
@@ -69,6 +70,8 @@ OUTSIDE_READERS = {
     "mc_search_cost": "tests/test_acceptance.py, acceptance 05",
     "make_custom_search": "perfbench/workloads.py, the custom twins",
     "make_custom_schedule": "perfbench/workloads.py, the custom twins",
+    "expected_acc_ratio_mc_contracts":
+        "perfbench/workloads.py deep-horizon; tests/test_acceptance.py acceptance 07",
 }
 
 
@@ -109,6 +112,33 @@ def test_only_the_two_schedule_walkers_call_job_spec():
             f"{path.name}:{line} calls job_spec in {name}"
             for name, line in _job_spec_callers(tree)
             if (path.name, name) not in JOB_READERS
+        )
+    assert offenders == []
+
+
+# Every schedule sweep reads its trajectory through acceleration_ratio's
+# credit table; only the round-robin tail walk keeps a read of its own.
+TRAJECTORY_BUILDERS = {("sched_eval.py", "acceleration_ratio"),
+                       ("claims.py", "_rr_tail_ratio")}
+
+
+def _trajectory_builders(tree):
+    """(definition, line) of each ScheduleTrajectory(...) call."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "ScheduleTrajectory"):
+                yield getattr(top, "name", "<module>"), node.lineno
+
+
+def test_only_the_credit_sweep_and_the_tail_walk_build_a_schedule_trajectory():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders.extend(
+            f"{path.name}:{line} builds a ScheduleTrajectory in {name}"
+            for name, line in _trajectory_builders(tree)
+            if (path.name, name) not in TRAJECTORY_BUILDERS
         )
     assert offenders == []
 

@@ -12,7 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_sched as ref
 from raysched.numopt import closed_form
-from raysched.sched_eval import acceleration_ratio, longest_completed
+from raysched.sched_eval import (
+    acceleration_ratio,
+    longest_completed,
+    probabilistic_completed,
+)
 from raysched.stochastic import (
     DetectionModel,
     DirectionRule,
@@ -197,12 +201,16 @@ class TestExpectedContracts:
                        if value is not None)
             return repr(report)
 
-        assert outcome(expected_acc_ratio_mc_contracts) == outcome(ref.expected_contracts)
+        def oracle(n, p, b, horizon):
+            return ref.acceleration_ratio(make_exponential_schedule(n, b),
+                                          probabilistic_completed(p), horizon)
+
+        assert outcome(expected_acc_ratio_mc_contracts) == outcome(oracle)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             expected_acc_ratio_mc_contracts(0, 0.5, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^probability must be in \(0, 1\], got 0.0$"):
             expected_acc_ratio_mc_contracts(1, 0.0, 2.0)
         with pytest.raises(ValueError):
             expected_acc_ratio_mc_contracts(1, 0.5, 1.0)
