@@ -9,9 +9,11 @@ is surfaced by the claim catalog, never patched here.  The count
 ceilings and the randomized-schedule ratio are written here once and
 serve both as printed entries and as public functions.  Derived
 entries, keyed by (tag kind, semantics), are the analytic limits of the
-tagged plan families, which the evaluators read through family_limits.
-A derived entry never shares a formula with a printed one, so that the
-catalog can catch a wrong formula on either side.
+tagged plan families, looked up by family_limits and attached by
+sweep_report, the one step that turns every plan sweep's candidate
+ratios into its report.  A derived entry never shares a formula with a
+printed one, so that the catalog can catch a wrong formula on either
+side.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .core import CostModel, SchedulePlan, SearchPlan
+from .core import CostModel, RatioReport, SchedulePlan, SearchPlan
 
 
 @dataclass(frozen=True)
@@ -376,6 +378,44 @@ def family_limits(
         return None
     value = entry.formula(*args)
     return value, value if entry.asymptote is None else entry.asymptote(*args)
+
+
+def sweep_report(plan: Union[SearchPlan, SchedulePlan], semantics: str, x: float,
+                 ratios, witness: Callable[[int], object], horizon: int,
+                 note: Optional[str] = None) -> RatioReport:
+    """The report of a plan sweep from its candidate ratios, a nonempty
+    float array in candidate order: the first largest is finite_sup, and
+    witness(i) names candidate i.  Where family_limits has an entry, the
+    gap is the asymptote's distance from the largest candidate of the
+    last period, noted when over 1%.  Otherwise the asymptotic is the
+    largest of the last quarter, the gap is the last candidate's distance
+    from the middle one, and a last quarter wholly above the first half
+    is noted.  The tail note follows the caller's.  A period is one round
+    of the plan: m excursions, or n problems' jobs times the repeats of
+    each length (pseudo schedules run each length tag.redundancy times)."""
+    if isinstance(plan, SearchPlan):
+        size = period = plan.ray_count
+    else:
+        size = plan.problem_count
+        period = size * plan.tag.redundancy
+    limits, tail = family_limits(plan, semantics, size, x), None
+    if limits is not None:
+        limit_sup, asymptotic = limits
+        convergence_gap = abs(asymptotic - float(ratios[-period:].max()))
+        if convergence_gap > 0.01 * max(1.0, abs(asymptotic)):
+            tail = "tail has not converged to the analytic value yet"
+    else:
+        half, quartile = len(ratios) // 2, ratios[-max(1, len(ratios) // 4):]
+        limit_sup, asymptotic = None, float(quartile.max())
+        convergence_gap = abs(float(ratios[-1]) - float(ratios[half]))
+        if len(ratios) >= 8 and quartile.min() > ratios[:half].max():
+            tail = ("ratios still increasing at the horizon; supremum may be "
+                    "attained only in the limit or be unbounded")
+    i = int(ratios.argmax())
+    return RatioReport(finite_sup=float(ratios[i]), witness=witness(i), horizon=horizon,
+                       limit_sup=limit_sup, asymptotic=asymptotic,
+                       convergence_gap=convergence_gap,
+                       note="; ".join(filter(None, (note, tail))) or None)
 
 
 def beta_r_star(n: int) -> tuple[float, float]:

@@ -5,8 +5,7 @@ after job completions, crediting each problem only with work finished
 strictly before the query, and taking the worst time-to-credit ratio
 over all problems.  Tagged plans get their family's analytic limit from
 the table of closed forms in numopt.  Preemption and contract counts
-live here too; their logarithmic ceilings are defined with that table
-and re-exported here.
+live here too.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .core import DEFAULT_HORIZON, RatioReport, SchedulePlan, ScheduleTrajectory, jobs_before
-from .numopt import contract_bound, family_limits, preemption_bound  # noqa: F401  (re-exported)
+from .numopt import sweep_report
 
 
 class SemanticsKind(Enum):
@@ -151,7 +150,7 @@ def _credit_table(problem: np.ndarray, length: np.ndarray, n: int,
     table[problem, np.arange(1, len(length) + 1)] = events
     if kind is SemanticsKind.AGGREGATE_INTERRUPTIBLE:
         return np.add.accumulate(table, axis=1)
-    return np.maximum.accumulate(table, axis=1)
+    return np.fmax.accumulate(table, axis=1)
 
 
 def acceleration_ratio(
@@ -191,33 +190,11 @@ def acceleration_ratio(
             horizon=horizon,
             note="some problem never accumulates credit within the horizon",
         )
-    worst = int(seq.argmax())  # the first, as a strict > sweep keeps it
-    best, witness = float(seq[worst]), float(finish[scored][worst])
-    kind = semantics.kind
+    kind, times = semantics.kind, finish[scored]
     x = semantics.p if kind is SemanticsKind.PROBABILISTIC_COMPLETED else semantics.r
-    limits = family_limits(plan, kind.value, n, x)
-    if limits is None:
-        limit_sup = None
-        asymptotic = float(seq[-max(1, len(seq) // 4):].max())
-        convergence_gap = abs(float(seq[-1]) - float(seq[len(seq) // 2]))
-    else:
-        limit_sup, asymptotic = limits
-        convergence_gap = abs(asymptotic - float(seq[-min(len(seq), n):].max()))
-    note = None
-    if skipped:
-        note = (
-            f"{skipped} early completion(s) skipped while some problem had "
-            "zero credit"
-        )
-    return RatioReport(
-        finite_sup=best,
-        witness=witness,
-        horizon=horizon,
-        limit_sup=limit_sup,
-        asymptotic=asymptotic,
-        convergence_gap=convergence_gap,
-        note=note,
-    )
+    note = (f"{skipped} early completion(s) skipped while some problem had zero credit"
+            if skipped else None)
+    return sweep_report(plan, kind.value, x, seq, lambda i: float(times[i]), horizon, note)
 
 
 def contract_count(plan: SchedulePlan, t: float) -> int:

@@ -6,8 +6,7 @@ worst-case candidate targets (just beyond each excursion's frontier) to
 estimate the competitive ratio.  Plans built by the standard factories
 carry tags that let the sweep attach an exact analytic supremum, read
 from the table of closed forms in numopt.  Turn counting lives here
-too; its ceiling turn_bound is defined with that table and re-exported
-here.
+too.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .core import (
     SearchPlan,
     SearchTrajectory,
 )
-from .numopt import family_limits, turn_bound  # noqa: F401  (turn_bound re-exported)
+from .numopt import sweep_report
 
 
 @dataclass(frozen=True)
@@ -262,9 +261,9 @@ def competitive_ratio(
     is charged to the next pass of the point, scanning from excursion
     j+1 onward.  The denominator is the optimal cost x_j.
 
-    For tagged families the exact analytic supremum and asymptotic are
-    attached; otherwise the asymptotic is estimated from the last
-    quartile of candidates and a convergence gap is reported.
+    The ratios become the report through numopt.sweep_report: tagged
+    families get their exact analytic supremum and asymptotic, others an
+    asymptotic estimated from the last quartile of candidates.
     """
     m = plan.ray_count
     if horizon < m:
@@ -278,9 +277,7 @@ def competitive_ratio(
     for hit, ordinal, cost in frontier_passes(plan, trajectory, horizon, r):
         np.copyto(found, cost, where=hit & (ordinal == r - 1))
     reached = np.flatnonzero(~np.isnan(found))
-    ratio_array = found[reached] / trajectory.outer[reached]
-    ratios = ratio_array.tolist()
-    if not ratios:
+    if not reached.size:
         return RatioReport(
             finite_sup=math.inf,
             witness=None,
@@ -288,42 +285,16 @@ def competitive_ratio(
             note="no candidate target is passed the required number of times "
             "within the horizon",
         )
-    j = int(reached[np.argmax(ratio_array)])
-    best_witness = (j, int(trajectory.ray[j]), float(trajectory.outer[j]))
-    notes: list[str] = []
     unreachable = horizon - reached.size
-    if unreachable:
-        notes.append(
-            f"{unreachable} candidate(s) not passed the required number of "
-            "times within the horizon; supremum reflects the rest"
-        )
-    limits = family_limits(plan, "rth-visit", m, r)
-    if limits is not None:
-        limit_sup, asymptotic = limits
-        convergence_gap = abs(asymptotic - max(ratios[-min(len(ratios), m):]))
-        if convergence_gap > 0.01 * max(1.0, abs(asymptotic)):
-            notes.append("tail has not converged to the analytic value yet")
-    else:
-        limit_sup = None
-        quartile = ratios[-max(1, len(ratios) // 4):]
-        asymptotic = max(quartile)
-        convergence_gap = abs(ratios[-1] - ratios[len(ratios) // 2])
-        if len(ratios) >= 8 and min(quartile) > max(
-            ratios[: len(ratios) // 2]
-        ):
-            notes.append(
-                "ratios still increasing at the horizon; supremum may be "
-                "attained only in the limit or be unbounded"
-            )
-    return RatioReport(
-        finite_sup=max(ratios),
-        witness=best_witness,
-        horizon=horizon,
-        limit_sup=limit_sup,
-        asymptotic=asymptotic,
-        convergence_gap=convergence_gap,
-        note="; ".join(notes) if notes else None,
-    )
+    note = (f"{unreachable} candidate(s) not passed the required number of times "
+            "within the horizon; supremum reflects the rest") if unreachable else None
+
+    def witness(i: int) -> tuple[int, int, float]:
+        j = int(reached[i])
+        return j, int(trajectory.ray[j]), float(trajectory.outer[j])
+
+    return sweep_report(plan, "rth-visit", r, found[reached] / trajectory.outer[reached],
+                        witness, horizon, note)
 
 
 def turn_count(

@@ -30,7 +30,7 @@ import numpy as np
 from .core import DEFAULT_HORIZON, MAX_TRAJECTORY, McEstimate, RatioReport
 from .core import SchedulePlan, SearchPlan
 from .core import SearchTrajectory
-from .numopt import beta_r_closed_form, family_limits, lemma_root
+from .numopt import beta_r_closed_form, lemma_root, sweep_report
 from .sched_eval import acceleration_ratio, probabilistic_completed
 from .search_eval import frontier_passes, visit_cost_stream
 from .strategies import make_exponential_schedule
@@ -177,7 +177,8 @@ def probabilistic_competitive_ratio(
     the frontier candidates (just beyond each excursion's far point).
 
     For exponential-family tags below the divergence threshold the
-    exact candidate-limit value is attached."""
+    exact candidate-limit value is attached; numopt.sweep_report makes
+    the report, as for the other plan sweeps."""
     m = plan.ray_count
     if horizon < m:
         raise ValueError(f"horizon {horizon} must cover at least {m} excursions")
@@ -202,17 +203,10 @@ def probabilistic_competitive_ratio(
         plan, trajectory, horizon, weights.size, outward_only=outward, grow=True
     ):
         expected += w[ordinal] * hit * cost  # a missed move adds 0 times its finite cost
-    ratios = expected / trajectory.outer[:horizon]
-    j = int(np.argmax(ratios))
-    best = float(ratios[j])
-    witness = (j, int(trajectory.ray[j]), float(trajectory.outer[j]))
-    limits = family_limits(plan, model.direction_rule.value, m, p)
-    if limits is None:
-        return RatioReport(finite_sup=best, witness=witness, horizon=horizon)
-    limit_sup, asymptotic = limits
-    return RatioReport(finite_sup=best, witness=witness, horizon=horizon,
-                       limit_sup=limit_sup, asymptotic=asymptotic,
-                       convergence_gap=abs(asymptotic - float(ratios[-1])))
+    return sweep_report(plan, model.direction_rule.value, p,
+                        expected / trajectory.outer[:horizon],
+                        lambda j: (j, int(trajectory.ray[j]), float(trajectory.outer[j])),
+                        horizon)
 
 
 def expected_acc_ratio_mc_contracts(

@@ -7,7 +7,12 @@ plan.job_spec, validates them as Job records and takes every query's
 minimum credit over per-problem completion records, exactly as the
 evaluator did before it read ScheduleTrajectory columns and its credit
 table: the same float operations in the same order, so reports and
-errors must agree with the package bit for bit.
+errors must agree with the package bit for bit.  Its report follows the
+rule every plan sweep shares (numopt.sweep_report), written out here as
+scalar code: the tail gap over one round of the plan (n problems' jobs
+times the repeats of each length), or over the last quarter and the
+middle candidate where the table has no entry, and the two tail notes
+after the skipped note.
 
 ProblemState computes a problem's credit at each query from its
 completion record, with no running maximum over earlier queries, so the
@@ -194,19 +199,26 @@ def acceleration_ratio(
     probabilistic = semantics.kind is SemanticsKind.PROBABILISTIC_COMPLETED
     limits = family_limits(plan, semantics.kind.value, n,
                            semantics.p if probabilistic else semantics.r)
-    if limits is None:
-        limit_sup = None
-        asymptotic = max(seq[-max(1, len(seq) // 4):])
-        convergence_gap = abs(seq[-1] - seq[len(seq) // 2])
-    else:
-        limit_sup, asymptotic = limits
-        convergence_gap = abs(asymptotic - max(seq[-min(len(seq), n):]))
-    note = None
+    notes = []
     if skipped:
-        note = (
+        notes.append(
             f"{skipped} early completion(s) skipped while some problem had "
             "zero credit"
         )
+    if limits is None:
+        limit_sup = None
+        quartile = seq[-max(1, len(seq) // 4):]
+        asymptotic = max(quartile)
+        convergence_gap = abs(seq[-1] - seq[len(seq) // 2])
+        if len(seq) >= 8 and min(quartile) > max(seq[:len(seq) // 2]):
+            notes.append("ratios still increasing at the horizon; supremum may be "
+                         "attained only in the limit or be unbounded")
+    else:
+        limit_sup, asymptotic = limits
+        period = n * plan.tag.redundancy  # one round: each length runs redundancy times
+        convergence_gap = abs(asymptotic - max(seq[-min(len(seq), period):]))
+        if convergence_gap > 0.01 * max(1.0, abs(asymptotic)):
+            notes.append("tail has not converged to the analytic value yet")
     return RatioReport(
         finite_sup=best,
         witness=witness,
@@ -214,5 +226,5 @@ def acceleration_ratio(
         limit_sup=limit_sup,
         asymptotic=asymptotic,
         convergence_gap=convergence_gap,
-        note=note,
+        note="; ".join(notes) if notes else None,
     )

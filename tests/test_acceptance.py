@@ -19,20 +19,24 @@ from raysched.claims import (
 )
 from raysched.cli import console_main
 from raysched.core import CostModel
-from raysched.numopt import beta_r_star, figure1_curve, lemma_root
+from raysched.numopt import (
+    beta_r_star,
+    contract_bound,
+    figure1_curve,
+    lemma_root,
+    preemption_bound,
+    turn_bound,
+)
 from raysched.search_eval import (
     FIRST_VISIT,
     competitive_ratio,
-    turn_bound,
     turn_count,
 )
 from raysched.sched_eval import (
     acceleration_ratio,
     aggregate_interruptible,
-    contract_bound,
     contract_count,
     longest_completed,
-    preemption_bound,
     preemption_count,
     r_times_completed,
 )

@@ -15,15 +15,9 @@ from raysched import core
 from raysched.cli import console_main
 from raysched.core import CostModel, Excursion, SchedulePlan, SearchPlan
 from raysched.claims import claim_ids
-from raysched.numopt import closed_form, lemma_root
-from raysched.sched_eval import (
-    acceleration_ratio,
-    contract_bound,
-    contract_count,
-    longest_completed,
-    preemption_bound,
-)
-from raysched.search_eval import competitive_ratio, rth_visit, turn_bound
+from raysched.numopt import closed_form, contract_bound, lemma_root, preemption_bound, turn_bound
+from raysched.sched_eval import acceleration_ratio, contract_count, longest_completed
+from raysched.search_eval import competitive_ratio, rth_visit
 from raysched.stochastic import (
     DetectionModel,
     RandomizedScheduleParams,

@@ -11,15 +11,14 @@ import pytest
 
 import reference_sched as ref
 from raysched.core import ScheduleTrajectory, jobs_before
+from raysched.numopt import contract_bound, preemption_bound
 from raysched.sched_eval import (
     ScheduleSemantics,
     SemanticsKind,
     acceleration_ratio,
     aggregate_interruptible,
-    contract_bound,
     contract_count,
     longest_completed,
-    preemption_bound,
     preemption_count,
     r_times_completed,
     rth_largest_completed,
@@ -122,6 +121,25 @@ class TestAccelerationRatio:
         )
         assert report.limit_sup == pytest.approx(8.0, abs=1e-9)
         assert report.finite_sup == pytest.approx(8.0, abs=1e-6)
+
+    def test_pseudo_gap_spans_one_round_of_repeats(self):
+        # One problem, each length run 3 times: a round is n * r = 3 jobs.
+        # At H=200 the sweep has reached the limit 12 exactly; the last
+        # job alone (a phase's first repeat, no 3-times credit yet) sits
+        # 2 below it, which a gap over the last n jobs would report.
+        report = acceleration_ratio(
+            make_pseudo_exponential_schedule(1, 2.0, 3), r_times_completed(3), 200
+        )
+        assert report.finite_sup == report.limit_sup == 12.0
+        assert report.convergence_gap == 0.0
+        assert report.note == "3 early completion(s) skipped while some problem had zero credit"
+
+    def test_short_horizon_notes_an_unconverged_tail(self):
+        report = acceleration_ratio(make_exponential_schedule(2, 1.5), longest_completed(), 5)
+        assert (report.finite_sup, report.limit_sup) == (5.861111111111111, 6.75)
+        assert report.convergence_gap > 0.01 * report.asymptotic
+        assert report.note == ("2 early completion(s) skipped while some problem had zero "
+                               "credit; tail has not converged to the analytic value yet")
 
     def test_rth_largest_limit(self):
         report = acceleration_ratio(

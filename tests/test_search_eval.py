@@ -12,13 +12,13 @@ import math
 import pytest
 
 from raysched.core import CostModel
+from raysched.numopt import turn_bound
 from raysched.search_eval import (
     FIRST_VISIT,
     SearchSemantics,
     competitive_ratio,
     cost_to_visit,
     rth_visit,
-    turn_bound,
     turn_count,
     visit_cost_stream,
 )

@@ -3,8 +3,8 @@ names or reads an object's private attribute other than its own (on
 self or cls), every exported name has a reader, schedule jobs are read through
 one of the two walkers, a schedule trajectory is built only by the credit
 sweep and the round-robin tail walk, a plan's family is read from its tag only by the
-table's lookup and a few known readers, the trajectory cap only by the
-trajectories' base and the detection sweep's guard, np.power is called only in the
+table's lookup and a few known readers, only numopt names that lookup,
+the trajectory cap only by the trajectories' base and the detection sweep's guard, np.power is called only in the
 Monte Carlo kernel and np.float_power only where plan powers are taken,
 only the CLI's writer opens a file for writing and nothing truncates one
 on open, the claim catalog names a sweep evaluator only in its sweep-row
@@ -172,6 +172,19 @@ def test_only_the_table_lookup_and_known_readers_read_a_tags_family():
             for name, line in _tag_readers(tree)
             if (path.name, name) not in TAG_READERS
         )
+    assert offenders == []
+
+
+def test_only_numopt_names_the_table_lookup():
+    """Every plan sweep gets its report, and with it the table's limits,
+    from numopt.sweep_report, so no other module names family_limits."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "numopt.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "family_limits" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None))
+    ]
     assert offenders == []
 
 

@@ -31,8 +31,9 @@ from raysched.stochastic import (
     standard_t_grid,
     tuned_search_base,
 )
-from raysched.search_eval import cost_to_visit
+from raysched.search_eval import FIRST_VISIT, competitive_ratio, cost_to_visit
 from raysched.strategies import (
+    make_custom_search,
     make_exponential_schedule,
     make_exponential_search,
     make_geometric_search,
@@ -137,6 +138,18 @@ class TestProbabilisticRatio:
         report = probabilistic_competitive_ratio(plan, DetectionModel(1.0))
         assert report.limit_sup == pytest.approx(9.0, abs=1e-9)
         assert report.finite_sup <= report.limit_sup + 1e-12
+
+    @pytest.mark.parametrize("horizon", [2, 9, 120])
+    def test_custom_twin_reports_what_the_competitive_sweep_reports(self, horizon):
+        # Certain detection over both directions is the first visit, so
+        # an untagged plan's detection sweep scores the competitive
+        # sweep's candidates and reports the same quartile tail.
+        tagged = make_exponential_search(2, 1.7)
+        twin = make_custom_search(2, tagged.generator, tagged.cost_model, tagged.traversals)
+        detection = probabilistic_competitive_ratio(twin, DetectionModel(1.0), horizon)
+        first_visit = competitive_ratio(twin, FIRST_VISIT, horizon)
+        assert detection == first_visit
+        assert detection.limit_sup is None and detection.asymptotic is not None
 
     def test_outward_only_converges_to_attached_limit(self):
         m, p = 2, 0.5
